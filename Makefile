@@ -70,10 +70,10 @@ bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json ./... > BENCH_$$(date +%Y%m%d).json
 
 # Committed baseline for bench-diff: the pinned hot-path benchmarks only,
-# at a benchtime long enough for stable ns/op.
+# recorded by the same commands (and -cpu 2) that bench-diff runs fresh,
+# headed by the settings, Go version and CPU model.
 bench-baseline:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEndToEndAnalyze|BenchmarkParse$$|BenchmarkSyncGraphBuild|BenchmarkStageCacheWarmSecondAlgorithm)' -benchtime=200x -count=5 -json . > BENCH_baseline.json
-	$(GO) test -run='^$$' -bench='^(BenchmarkServiceCacheHit$$|BenchmarkWriteJSON)' -benchtime=5000x -count=5 -json ./internal/service >> BENCH_baseline.json
+	bash scripts/bench_diff.sh -record
 
 # Fail if any pinned hot-path benchmark regressed >15% vs the baseline.
 bench-diff:

@@ -14,6 +14,7 @@ package clg
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -125,11 +126,13 @@ func (c *CLG) IsSyncEdge(u, v int) bool { return c.syncEdges[key(u, v)] }
 // N returns the CLG node count.
 func (c *CLG) N() int { return c.G.N() }
 
-// SizeBytes approximates the CLG's resident footprint (node maps,
-// adjacency, sync-edge set), for byte-budgeted caches.
+// SizeBytes approximates the CLG's resident footprint, for byte-budgeted
+// caches: the digraph's adjacency and the node maps at their capacities,
+// plus the sync-edge set.
 func (c *CLG) SizeBytes() int64 {
-	n, m := int64(c.G.N()), int64(c.G.M())
-	return n*(3*8+1) + m*8 + int64(len(c.syncEdges))*24
+	sz := int64(unsafe.Sizeof(*c)) + c.G.SizeBytes()
+	sz += int64(cap(c.In)+cap(c.Out)+cap(c.Orig))*8 + int64(cap(c.IsIn))
+	return sz + graph.MapBytes(len(c.syncEdges), 16)
 }
 
 // M returns the CLG edge count.

@@ -92,7 +92,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			g.metrics.ItemsError.Add(1)
 		}
 	}
-	writeJSON(w, http.StatusOK, service.BatchResponse{
+	service.WriteJSON(w, http.StatusOK, service.BatchResponse{
 		Results:   results,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
@@ -265,7 +265,7 @@ func (g *Gateway) sendChunk(ctx context.Context, b *backend, meta batchMeta, chu
 		// Upstream refused the whole chunk; relay its taxonomy error into
 		// each affected item without rewrapping.
 		code, msg := service.CodeInternal, fmt.Sprintf("upstream status %d", res.status)
-		var er errorResponse
+		var er service.ErrorResponse
 		if json.Unmarshal(res.body, &er) == nil && er.Error.Code != "" {
 			code, msg = er.Error.Code, er.Error.Message
 		}

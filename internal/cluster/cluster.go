@@ -23,7 +23,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -324,24 +323,8 @@ func (g *Gateway) BreakerState(i int) BreakerState { return g.backends[i].breake
 // BackendUp reports backend i's latest active-probe verdict.
 func (g *Gateway) BackendUp(i int) bool { return g.backends[i].up.Load() }
 
-// writeJSON mirrors the replica wire format (indented JSON) for
-// gateway-authored bodies; proxied bodies are relayed verbatim instead.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// errorResponse is the wire shape of gateway-authored errors — the same
-// {"error":{code,message}} taxonomy the replicas speak.
-type errorResponse struct {
-	Error service.ErrorBody `json:"error"`
-}
-
 func (g *Gateway) writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: service.ErrorBody{
+	service.WriteJSON(w, status, service.ErrorResponse{Error: service.ErrorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 		TraceID: w.Header().Get("X-Trace-Id"),
@@ -429,7 +412,7 @@ func (g *Gateway) logRequest(r *http.Request, endpoint string, status int, start
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports whether the gateway can do useful work: at least
@@ -448,7 +431,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case eligible == 0:
 		status, state = http.StatusServiceUnavailable, "no backend available"
 	}
-	writeJSON(w, status, map[string]any{
+	service.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"backends": len(g.backends),
 		"eligible": eligible,

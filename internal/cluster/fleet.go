@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // StageQuantiles are latency quantiles for one pipeline stage, estimated
@@ -83,7 +84,7 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 		}(&out.Backends[i], b)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // scrapeBackend fills fb from one replica's /readyz and /metrics. Debug

@@ -167,7 +167,7 @@ func getBody(t *testing.T, url string) (int, string) {
 
 func decodeError(t *testing.T, data []byte) service.ErrorBody {
 	t.Helper()
-	var er errorResponse
+	var er service.ErrorResponse
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatalf("bad error body %v\n%s", err, data)
 	}

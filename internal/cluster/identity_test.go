@@ -1,0 +1,139 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"testing"
+
+	siwa "repro"
+	"repro/internal/lang"
+	"repro/internal/service"
+	"repro/internal/workload"
+)
+
+// identityPrograms draws n seeded programs cycling through every
+// internal/workload family; a trailing comment keeps each digest unique.
+func identityPrograms(n int) []string {
+	rng := rand.New(rand.NewSource(20261016))
+	families := []func() *lang.Program{
+		func() *lang.Program { return workload.Pipeline(3+rng.Intn(3), 1+rng.Intn(3)) },
+		func() *lang.Program { return workload.ClientServer(2 + rng.Intn(4)) },
+		func() *lang.Program { return workload.Barrier(2+rng.Intn(2), 1+rng.Intn(2)) },
+		func() *lang.Program { return workload.Ring(3 + rng.Intn(4)) },
+		func() *lang.Program { return workload.RingBroken(3 + rng.Intn(4)) },
+		func() *lang.Program { return workload.CrossRing(3+rng.Intn(3), 1+rng.Intn(2)) },
+		func() *lang.Program { return workload.NestedLoops(1+rng.Intn(2), 2+rng.Intn(2)) },
+		func() *lang.Program {
+			return workload.Random(rng, workload.Config{
+				Tasks: 3 + rng.Intn(2), StmtsPerTask: 3, Msgs: 2,
+				BranchProb: 0.2, LoopProb: 0.15, MaxDepth: 2, AcceptRatio: 0.5,
+			})
+		},
+	}
+	srcs := make([]string, n)
+	for i := range srcs {
+		srcs[i] = families[i%len(families)]().String() + fmt.Sprintf("-- identity %d\n", i)
+	}
+	return srcs
+}
+
+// TestReportBytesIdenticalAcrossTiers is the surface oracle for the four
+// paths that render analyze responses: replica single, replica batch,
+// gateway single and gateway batch. Every raw "report" value served, on a
+// cold pass and again from the result cache, must be byte for byte the
+// library's json.Marshal(rep.JSONReport()) with no stage cache: the
+// report is marshalled once and spliced, never re-encoded.
+func TestReportBytesIdenticalAcrossTiers(t *testing.T) {
+	srcs := identityPrograms(56)
+	f := newFleet(t, 2, service.Config{})
+	_, gw := newTestGateway(t, f.urls, Config{})
+
+	type single struct {
+		Report json.RawMessage `json:"report"`
+		Cached bool            `json:"cached"`
+	}
+	type batch struct {
+		Results []struct {
+			ID     string          `json:"id"`
+			Report json.RawMessage `json:"report"`
+			Cached bool            `json:"cached"`
+			Error  string          `json:"error"`
+		} `json:"results"`
+	}
+	for _, algo := range []string{"refined", "pairs"} {
+		a, ok := siwa.AlgorithmByName(algo)
+		if !ok {
+			t.Fatalf("unknown algorithm %q", algo)
+		}
+		want := make([][]byte, len(srcs))
+		for i, src := range srcs {
+			rep, err := siwa.AnalyzeSource(src, siwa.Options{Algorithm: a})
+			if err != nil {
+				t.Fatalf("program %d: %v", i, err)
+			}
+			if want[i], err = json.Marshal(rep.JSONReport()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := &service.WireOptions{Algorithm: algo}
+		check := func(path string, pass, i int, got json.RawMessage, cached bool) {
+			t.Helper()
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s %s pass %d program %d: report bytes differ\n got %s\nwant %s",
+					algo, path, pass, i, got, want[i])
+			}
+			if pass == 1 && !cached {
+				t.Errorf("%s %s pass 2 program %d: not served from the result cache", algo, path, i)
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, src := range srcs {
+				req := service.AnalyzeRequest{Source: src, Options: opts}
+				for _, target := range []struct{ path, url string }{
+					{"replica single", f.urls[i%len(f.urls)]},
+					{"gateway single", gw.URL},
+				} {
+					resp, data := postJSON(t, target.url+"/v1/analyze", req)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s program %d: HTTP %d %s", target.path, i, resp.StatusCode, data)
+					}
+					var out single
+					if err := json.Unmarshal(data, &out); err != nil {
+						t.Fatalf("%s program %d: %v", target.path, i, err)
+					}
+					check(target.path, pass, i, out.Report, out.Cached)
+				}
+			}
+			progs := make([]service.BatchProgram, len(srcs))
+			for i, src := range srcs {
+				progs[i] = service.BatchProgram{ID: fmt.Sprint(i), Source: src}
+			}
+			for _, target := range []struct{ path, url string }{
+				{"replica batch", f.urls[0]},
+				{"gateway batch", gw.URL},
+			} {
+				resp, data := postJSON(t, target.url+"/v1/analyze/batch",
+					service.BatchRequest{Programs: progs, Options: opts})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: HTTP %d %s", target.path, resp.StatusCode, data)
+				}
+				var out batch
+				if err := json.Unmarshal(data, &out); err != nil {
+					t.Fatalf("%s: %v", target.path, err)
+				}
+				if len(out.Results) != len(srcs) {
+					t.Fatalf("%s: %d results for %d programs", target.path, len(out.Results), len(srcs))
+				}
+				for i, r := range out.Results {
+					if r.Error != "" || r.ID != fmt.Sprint(i) {
+						t.Fatalf("%s item %d: id %q error %q", target.path, i, r.ID, r.Error)
+					}
+					check(target.path, pass, i, r.Report, r.Cached)
+				}
+			}
+		}
+	}
+}

@@ -106,7 +106,7 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	recs := g.exporter.Get(id) // deep copies: grafting never mutates the ring
 	if len(recs) == 0 {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: service.ErrorBody{
+		obs.WriteTraceJSON(w, http.StatusNotFound, service.ErrorResponse{Error: service.ErrorBody{
 			Code:    service.CodeNotFound,
 			Message: fmt.Sprintf("no retained trace %q", id),
 		}})
@@ -135,7 +135,7 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		// away here but retained on the replica): keep the record whole.
 		recs = append(recs, remote)
 	}
-	writeJSON(w, http.StatusOK, obs.TraceLookup{TraceID: id, Records: recs})
+	obs.WriteTraceJSON(w, http.StatusOK, obs.TraceLookup{TraceID: id, Records: recs})
 }
 
 // fetchBackendTraces collects every replica's retained records for one

@@ -26,8 +26,10 @@ package core
 import (
 	"encoding/binary"
 	"sync"
+	"unsafe"
 
 	"repro/internal/clg"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/sg"
@@ -143,20 +145,14 @@ func (a *Analyzer) Session(parallelism int, trace *obs.Span) *Analyzer {
 	return &s
 }
 
-// SizeBytes approximates the analyzer's resident footprint — the derived
-// CLG, ordering matrices, and memoized hypothesis tables — for
-// byte-budgeted caches that retain one Analyzer per program digest. The
-// sync graph itself is excluded: front-end cache entries account for it.
+// SizeBytes approximates the analyzer's resident footprint, for byte-
+// budgeted caches: its CLG and ordering tables plus the hypothesis
+// tables, every row at its capacity. The sync graph is the caller's to
+// count (it is shared, not owned).
 func (a *Analyzer) SizeBytes() int64 {
-	sz := a.CLG.SizeBytes() + a.Ord.SizeBytes()
-	sz += int64(len(a.heads)) * 8
-	for _, t := range [][][]int{a.seqSets, a.ncxSets, a.tails} {
-		sz += int64(len(t)) * 24 // slice headers
-		for _, row := range t {
-			sz += int64(len(row)) * 8
-		}
-	}
-	return sz
+	sz := int64(unsafe.Sizeof(*a)) + int64(unsafe.Sizeof(sync.Pool{}))
+	sz += a.CLG.SizeBytes() + a.Ord.SizeBytes() + int64(cap(a.heads))*8
+	return sz + graph.TableBytes(a.seqSets) + graph.TableBytes(a.ncxSets) + graph.TableBytes(a.tails)
 }
 
 // NewAnalyzer builds the CLG and ordering facts for g. The sync graph must

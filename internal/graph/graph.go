@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
@@ -30,6 +31,30 @@ func (g *Digraph) N() int { return len(g.succ) }
 
 // M reports the number of edges.
 func (g *Digraph) M() int { return g.m }
+
+// SizeBytes reports the digraph's allocated footprint: both adjacency
+// tables, every list at its capacity.
+func (g *Digraph) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*g)) + TableBytes(g.succ) + TableBytes(g.pred)
+}
+
+// TableBytes is the allocated footprint of an int table such as an
+// adjacency list: the row headers and every row at its capacity. Byte-
+// budgeted caches use it to size the pipeline's artifacts.
+func TableBytes(t [][]int) int64 {
+	sz := int64(cap(t)) * int64(unsafe.Sizeof([]int(nil)))
+	for _, row := range t {
+		sz += int64(cap(row)) * 8
+	}
+	return sz
+}
+
+// MapBytes estimates the footprint of a Go map holding n entries of
+// slotBytes (key plus value) each: a fixed header plus about two slots
+// per entry, which covers the load factor and control bytes.
+func MapBytes(n int, slotBytes int64) int64 {
+	return 48 + int64(n)*2*slotBytes
+}
 
 // EnsureNode grows the graph so that node v exists, returning v.
 func (g *Digraph) EnsureNode(v int) int {

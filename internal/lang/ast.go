@@ -19,6 +19,7 @@ package lang
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Pos is a source position (1-based line and column).
@@ -305,11 +306,44 @@ func countStatements(ss []Stmt) int {
 	return n
 }
 
-// SizeEstimate approximates the program's resident footprint in bytes
-// (AST nodes plus per-task overhead), for byte-budgeted caches. It only
-// needs to be proportional to the real footprint, not exact.
+// SizeEstimate approximates the program's resident footprint in bytes,
+// for byte-budgeted caches: every task, procedure and statement node,
+// each statement list at its capacity, and label strings. Identifiers
+// that are substrings of the parsed source are not counted here; the
+// source text is the caller's to count.
 func (p *Program) SizeEstimate() int64 {
-	return int64(p.CountStatements())*96 + int64(len(p.Tasks)+len(p.Procs))*128
+	sz := int64(unsafe.Sizeof(*p)) + int64(cap(p.Tasks)+cap(p.Procs))*8
+	for _, t := range p.Tasks {
+		sz += int64(unsafe.Sizeof(*t)) + stmtsSize(t.Body)
+	}
+	for _, pr := range p.Procs {
+		sz += int64(unsafe.Sizeof(*pr)) + stmtsSize(pr.Body)
+	}
+	return sz
+}
+
+// stmtsSize is the footprint of a statement list: the interface slots at
+// the slice's capacity plus each node, its label and nested lists.
+func stmtsSize(ss []Stmt) int64 {
+	sz := int64(cap(ss)) * int64(unsafe.Sizeof(Stmt(nil)))
+	for _, s := range ss {
+		sz += (int64(len(s.Label())) + 7) &^ 7
+		switch v := s.(type) {
+		case *Send:
+			sz += int64(unsafe.Sizeof(*v))
+		case *Accept:
+			sz += int64(unsafe.Sizeof(*v))
+		case *Null:
+			sz += int64(unsafe.Sizeof(*v))
+		case *Call:
+			sz += int64(unsafe.Sizeof(*v))
+		case *If:
+			sz += int64(unsafe.Sizeof(*v)) + stmtsSize(v.Then) + stmtsSize(v.Else)
+		case *Loop:
+			sz += int64(unsafe.Sizeof(*v)) + stmtsSize(v.Body)
+		}
+	}
+	return sz
 }
 
 // Signal identifies a rendezvous channel: the receiving task and message.

@@ -308,7 +308,7 @@ func (e *Exporter) WriteProm(w io.Writer, prefix string) {
 
 // ServeList handles GET /debug/traces.
 func (e *Exporter) ServeList(w http.ResponseWriter, r *http.Request) {
-	writeTraceJSON(w, http.StatusOK, e.List())
+	WriteTraceJSON(w, http.StatusOK, e.List())
 }
 
 // ServeGet handles GET /debug/traces/{id} (the id is the {id} path
@@ -317,7 +317,7 @@ func (e *Exporter) ServeGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	recs := e.Get(id)
 	if len(recs) == 0 {
-		writeTraceJSON(w, http.StatusNotFound, map[string]any{
+		WriteTraceJSON(w, http.StatusNotFound, map[string]any{
 			"error": map[string]string{
 				"code":    "not_found",
 				"message": fmt.Sprintf("no retained trace %q", id),
@@ -325,10 +325,13 @@ func (e *Exporter) ServeGet(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeTraceJSON(w, http.StatusOK, TraceLookup{TraceID: id, Records: recs})
+	WriteTraceJSON(w, http.StatusOK, TraceLookup{TraceID: id, Records: recs})
 }
 
-func writeTraceJSON(w http.ResponseWriter, status int, v any) {
+// WriteTraceJSON writes a /debug/traces body: indented JSON, for reading
+// by eye. The gateway's stitched trace lookup uses it too, so debug
+// output looks the same on both tiers.
+func WriteTraceJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -52,6 +52,8 @@
 package order
 
 import (
+	"unsafe"
+
 	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/graph"
@@ -203,16 +205,13 @@ func Compute(g *sg.Graph) *Info {
 	return info
 }
 
-// SizeBytes approximates the Info's resident footprint: the three bit
-// matrices dominate, plus the CoAccept adjacency. Used by byte-budgeted
-// caches that retain ordering facts across requests.
+// SizeBytes approximates the Info's resident footprint, for byte-budgeted
+// caches that retain ordering facts across requests: the three bit
+// matrices dominate, plus the CoAccept adjacency at its capacity.
 func (i *Info) SizeBytes() int64 {
-	sz := i.Precede.SizeBytes() + i.NoCohead.SizeBytes() + i.NotCoexec.SizeBytes()
-	sz += int64(len(i.CoAccept)) * 24 // slice headers
-	for _, row := range i.CoAccept {
-		sz += int64(len(row)) * 8
-	}
-	return sz
+	sz := int64(unsafe.Sizeof(*i))
+	sz += i.Precede.SizeBytes() + i.NoCohead.SizeBytes() + i.NotCoexec.SizeBytes()
+	return sz + graph.TableBytes(i.CoAccept)
 }
 
 // Sequenceable reports whether r and s are ordered (strongly, in either

@@ -17,7 +17,7 @@ import (
 
 func decodeError(t *testing.T, data []byte) ErrorBody {
 	t.Helper()
-	var er errorResponse
+	var er ErrorResponse
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatalf("error body not structured: %v\n%s", err, data)
 	}

@@ -88,7 +88,7 @@ func TestDeadlineHeaderShedsBelowFloor(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
 	}
-	var er errorResponse
+	var er ErrorResponse
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatalf("bad error body: %v\n%s", err, data)
 	}

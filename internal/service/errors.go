@@ -57,8 +57,8 @@ type ErrorBody struct {
 	TraceID string `json:"traceId,omitempty"`
 }
 
-// errorResponse is every non-2xx response body.
-type errorResponse struct {
+// ErrorResponse is every non-2xx response body, on both tiers.
+type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 

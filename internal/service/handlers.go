@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -125,44 +124,9 @@ type BatchResponse struct {
 	ElapsedMs float64       `json:"elapsedMs"`
 }
 
-// jsonBufPool recycles response-encoding buffers across requests: the
-// response is staged in a pooled buffer, so each writeJSON costs the
-// encoder's allocations but no per-request buffer growth, and the exact
-// body size is known before the status line goes out.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBufBytes caps what a returned buffer may retain: one giant
-// batch response must not pin megabytes inside the pool forever.
-const maxPooledBufBytes = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Encoding failed before anything was written: the connection is
-		// still clean, so a plain 500 is deliverable.
-		jsonBufPool.Put(buf)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":{"code":%q,"message":"response encoding failed"}}`, CodeInternal)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	// Content-Length from the staged buffer lets clients and proxies size
-	// the body up front and spares chunked transfer encoding.
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledBufBytes {
-		jsonBufPool.Put(buf)
-	}
-}
-
 func (s *Server) writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
 	s.metrics.Errors.Add(1)
-	writeJSON(w, status, errorResponse{Error: ErrorBody{
+	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 		TraceID: w.Header().Get("X-Trace-Id"),
@@ -386,7 +350,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		th.RootSpan().Set("degraded", 1)
 	}
 	if err == nil {
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
+		WriteJSON(w, http.StatusOK, AnalyzeResponse{
 			Report:    out.report,
 			Cached:    out.cached,
 			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
@@ -407,11 +371,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Timeouts.Add(1)
 		s.setRetryAfter(w)
 		msg = fmt.Sprintf("analysis aborted: %v", err)
-		writeJSON(w, status, errorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
+		WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
 	case CodeShed:
 		s.metrics.Shed.Add(1)
 		s.setRetryAfter(w)
-		writeJSON(w, status, errorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
+		WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
 	default:
 		s.writeError(w, status, code, "%s", msg)
 	}
@@ -538,7 +502,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// only, and a degraded batch is always retained by the exporter.
 		obs.TraceFromContext(r.Context()).RootSpan().Set("degraded", degradedItems.Load())
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
+	WriteJSON(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
@@ -579,11 +543,11 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 			Description: info.Description,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe, distinct from liveness: a draining
@@ -595,10 +559,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // cluster gateway's health checker consumes this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // shedDeadline rejects a request whose propagated deadline budget
@@ -610,7 +574,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // slow" from "we refused work that was already dead on arrival".
 func (s *Server) shedDeadline(w http.ResponseWriter, r *http.Request, id, endpoint string, start time.Time) {
 	s.metrics.DeadlineShed.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrorBody{
+	WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: ErrorBody{
 		Code:    CodeTimeout,
 		Message: fmt.Sprintf("deadline budget %sms below admission floor %v", r.Header.Get(DeadlineHeader), s.cfg.DeadlineFloor),
 		TraceID: w.Header().Get("X-Trace-Id"),

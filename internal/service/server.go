@@ -148,14 +148,14 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			// Best effort: if the handler already wrote a status line this
 			// write is a no-op on the header and garbage on the body, but
 			// the usual case (panic before any write) gets a clean 500.
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: ErrorBody{
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: ErrorBody{
 				Code:    CodeInternal,
 				Message: fmt.Sprintf("internal error: %v", rec),
 				TraceID: w.Header().Get("X-Trace-Id"),
 			}})
 		}()
 		if err := fault.Inject("service.handler"); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: ErrorBody{
+			WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: ErrorBody{
 				Code:    CodeInternal,
 				Message: err.Error(),
 				TraceID: w.Header().Get("X-Trace-Id"),

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/cfg"
 	"repro/internal/graph"
@@ -203,16 +204,17 @@ func (g *Graph) NumSyncEdges() int {
 // NumControlEdges counts directed control edges.
 func (g *Graph) NumControlEdges() int { return g.Control.M() }
 
-// SizeBytes approximates the graph's resident footprint (nodes, labels,
-// control and sync adjacency), for byte-budgeted caches. Proportional,
-// not exact.
+// SizeBytes approximates the graph's resident footprint, for byte-
+// budgeted caches: node structs and the node table, control and sync
+// adjacency at their capacities, the per-task tables and the label
+// index. Labels and task names are shared with the program, which
+// counts them.
 func (g *Graph) SizeBytes() int64 {
-	sz := int64(len(g.Nodes)) * 128 // Node structs + pointers + label strings
-	sz += int64(g.Control.M()+g.NumSyncEdges()*2) * 8
-	sz += int64(len(g.TaskOf)+len(g.skipToExit)) * 8
-	for _, nodes := range g.taskNodes {
-		sz += int64(len(nodes)) * 8
-	}
+	sz := int64(unsafe.Sizeof(*g))
+	sz += int64(cap(g.Nodes))*8 + int64(len(g.Nodes))*int64(unsafe.Sizeof(Node{}))
+	sz += g.Control.SizeBytes() + graph.TableBytes(g.Sync) + graph.TableBytes(g.taskNodes)
+	sz += int64(cap(g.Tasks))*16 + int64(cap(g.TaskOf))*8 + int64(cap(g.skipToExit))
+	sz += graph.MapBytes(len(g.byLabel), 24)
 	return sz
 }
 

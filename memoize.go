@@ -93,10 +93,13 @@ type srcEntry struct {
 	inlined  *Program
 	unrolled *Program
 	hasLoops bool // loops in the inlined program (decides FIFO eligibility)
+	// srcLen is the source text's length: parsed identifiers are
+	// substrings of it, so the entry keeps the whole text alive.
+	srcLen int
 }
 
 func (e *srcEntry) SizeBytes() int64 {
-	sz := e.prog.SizeEstimate() + 64
+	sz := e.prog.SizeEstimate() + int64(e.srcLen) + 64
 	if e.inlined != e.prog {
 		sz += e.inlined.SizeEstimate()
 	}
@@ -202,7 +205,7 @@ func analyzeMemo(ctx context.Context, src string, opt Options) (*Report, error) 
 	// --- Front end: parse + inline + unroll, keyed on the digest alone.
 	fv, built, err := doEntry(ctx, mc, "src:"+dk, func() (memo.Entry, error) {
 		misses++
-		e := &srcEntry{}
+		e := &srcEntry{srcLen: len(src)}
 		if err := stage("parse", func(sp *Span) error {
 			missSpan(sp)
 			p, err := Parse(src)
