@@ -60,6 +60,14 @@ func Or(dst, src Row) bool {
 	return changed
 }
 
+// AndNot removes src's bits from dst word-wide (dst &^= src). The rows
+// must have equal length.
+func AndNot(dst, src Row) {
+	for i, w := range src {
+		dst[i] &^= w
+	}
+}
+
 // OrExcept is Or with up to two bit positions masked out of src before
 // folding (pass a negative position to skip masking). Closure steps use
 // it to keep guard conditions ("a node never precedes itself", "transfer

@@ -134,7 +134,7 @@ func Build(p *lang.Program) (*ProgramCFG, error) {
 	if len(p.Procs) > 0 || p.HasCalls() {
 		return nil, fmt.Errorf("cfg: program has procedures; apply lang.InlineCalls first")
 	}
-	out := &ProgramCFG{Prog: p, byName: map[string]*TaskCFG{}}
+	out := &ProgramCFG{Prog: p, Tasks: make([]*TaskCFG, 0, len(p.Tasks)), byName: make(map[string]*TaskCFG, len(p.Tasks))}
 	for _, t := range p.Tasks {
 		tc, err := buildTask(t)
 		if err != nil {
@@ -157,28 +157,54 @@ func MustBuild(p *lang.Program) *ProgramCFG {
 
 // --- statement-level construction ------------------------------------------
 
-// rawNode is a statement-level CFG node; virtual nodes are contracted away.
-type rawNode struct {
-	virtual bool
-	node    *Node // nil for virtual nodes
-}
-
+// rawBuilder records the statement-level CFG of one task as an edge list
+// over raw node ids. Virtual nodes (sequence points, branch joins, loop
+// heads) are contracted away afterwards; real nodes — entry, exit and the
+// rendezvous points — get their contracted id as they are created.
 type rawBuilder struct {
 	task  *lang.Task
-	nodes []rawNode
-	g     *graph.Digraph
+	nodes []Node // contracted nodes: entry, exit, rendezvous in creation order
+	idMap []int  // raw id -> contracted id, -1 for virtual nodes
+	edges [][2]int
 }
 
 func (b *rawBuilder) newVirtual() int {
-	id := b.g.AddNode()
-	b.nodes = append(b.nodes, rawNode{virtual: true})
-	return id
+	b.idMap = append(b.idMap, -1)
+	return len(b.idMap) - 1
 }
 
-func (b *rawBuilder) newRendezvous(kind NodeKind, sig lang.Signal, label string, pos lang.Pos) int {
-	id := b.g.AddNode()
-	b.nodes = append(b.nodes, rawNode{node: &Node{Kind: kind, Sig: sig, Label: label, Pos: pos}})
-	return id
+func (b *rawBuilder) newReal(n Node) int {
+	n.ID = len(b.nodes)
+	b.nodes = append(b.nodes, n)
+	b.idMap = append(b.idMap, n.ID)
+	return len(b.idMap) - 1
+}
+
+func (b *rawBuilder) edge(u, v int) { b.edges = append(b.edges, [2]int{u, v}) }
+
+// shape counts the raw nodes, rendezvous points and edges that buildStmts
+// creates for ss, so the builder's tables can be sized before it runs.
+func shape(ss []lang.Stmt) (nodes, rendezvous, edges int) {
+	if len(ss) == 0 {
+		return 0, 0, 1
+	}
+	nodes = len(ss) - 1
+	for _, s := range ss {
+		switch v := s.(type) {
+		case *lang.Null:
+			edges++
+		case *lang.Send, *lang.Accept:
+			nodes, rendezvous, edges = nodes+1, rendezvous+1, edges+2
+		case *lang.If:
+			n1, r1, e1 := shape(v.Then)
+			n2, r2, e2 := shape(v.Else)
+			nodes, rendezvous, edges = nodes+n1+n2, rendezvous+r1+r2, edges+e1+e2
+		case *lang.Loop:
+			n1, r1, e1 := shape(v.Body)
+			nodes, rendezvous, edges = nodes+1+n1, rendezvous+r1, edges+2+e1
+		}
+	}
+	return nodes, rendezvous, edges
 }
 
 // buildStmts wires ss between from and to, returning nothing; every path
@@ -194,22 +220,22 @@ func (b *rawBuilder) buildStmts(ss []lang.Stmt, from, to int) {
 		cur = next
 	}
 	if len(ss) == 0 {
-		b.g.AddEdgeUnique(from, to)
+		b.edge(from, to)
 	}
 }
 
 func (b *rawBuilder) buildStmt(s lang.Stmt, from, to int) {
 	switch v := s.(type) {
 	case *lang.Null:
-		b.g.AddEdgeUnique(from, to)
+		b.edge(from, to)
 	case *lang.Send:
-		id := b.newRendezvous(KindSend, lang.Signal{Task: v.Target, Msg: v.Msg}, v.Label(), v.Pos)
-		b.g.AddEdgeUnique(from, id)
-		b.g.AddEdgeUnique(id, to)
+		id := b.newReal(Node{Kind: KindSend, Sig: lang.Signal{Task: v.Target, Msg: v.Msg}, Label: v.Label(), Pos: v.Pos})
+		b.edge(from, id)
+		b.edge(id, to)
 	case *lang.Accept:
-		id := b.newRendezvous(KindAccept, lang.Signal{Task: b.task.Name, Msg: v.Msg}, v.Label(), v.Pos)
-		b.g.AddEdgeUnique(from, id)
-		b.g.AddEdgeUnique(id, to)
+		id := b.newReal(Node{Kind: KindAccept, Sig: lang.Signal{Task: b.task.Name, Msg: v.Msg}, Label: v.Label(), Pos: v.Pos})
+		b.edge(from, id)
+		b.edge(id, to)
 	case *lang.If:
 		b.buildStmts(v.Then, from, to)
 		b.buildStmts(v.Else, from, to)
@@ -222,69 +248,64 @@ func (b *rawBuilder) buildStmt(s lang.Stmt, from, to int) {
 		// only add control paths and is therefore safe for the
 		// conservative detectors.
 		head := b.newVirtual()
-		b.g.AddEdgeUnique(from, head)
+		b.edge(from, head)
 		b.buildStmts(v.Body, head, head)
-		b.g.AddEdgeUnique(head, to)
+		b.edge(head, to)
 	default:
 		panic(fmt.Sprintf("cfg: unknown statement %T", s))
 	}
 }
 
 func buildTask(t *lang.Task) (*TaskCFG, error) {
-	b := &rawBuilder{task: t, g: graph.New(0)}
-	entry := b.newVirtual()
-	exit := b.newVirtual()
+	nodes, rendezvous, edges := shape(t.Body)
+	nraw := 2 + nodes
+	// One int slab holds the raw-to-contracted id map, the epoch-stamped
+	// seen marks and the DFS stack of the contraction below.
+	scratch := make([]int, 2*nraw+edges)
+	b := &rawBuilder{
+		task:  t,
+		nodes: make([]Node, 0, 2+rendezvous),
+		idMap: scratch[:0:nraw],
+		edges: make([][2]int, 0, edges),
+	}
+	entry := b.newReal(Node{Kind: KindEntry})
+	exit := b.newReal(Node{Kind: KindExit})
 	b.buildStmts(t.Body, entry, exit)
+	raw := graph.FromEdges(nraw, b.edges)
 
 	// Contract virtual nodes: the final node set is entry, exit and all
 	// rendezvous nodes; an edge u->v exists iff a path of virtual nodes
-	// connects them in the raw graph.
-	tc := &TaskCFG{Task: t.Name}
-	idMap := make([]int, len(b.nodes)) // raw id -> contracted id, -1 virtual
-	for i := range idMap {
-		idMap[i] = -1
+	// connects them in the raw graph. For each real node but exit, a DFS
+	// through virtual nodes finds the set of next real nodes.
+	tc := &TaskCFG{Task: t.Name, Nodes: make([]*Node, len(b.nodes)), Entry: b.idMap[entry], Exit: b.idMap[exit]}
+	for i := range b.nodes {
+		tc.Nodes[i] = &b.nodes[i]
 	}
-	addNode := func(raw int, n *Node) int {
-		n.ID = len(tc.Nodes)
-		tc.Nodes = append(tc.Nodes, n)
-		idMap[raw] = n.ID
-		return n.ID
-	}
-	tc.Entry = addNode(entry, &Node{Kind: KindEntry})
-	tc.Exit = addNode(exit, &Node{Kind: KindExit})
-	for raw, rn := range b.nodes {
-		if !rn.virtual {
-			addNode(raw, rn.node)
-		}
-	}
-	tc.G = graph.New(len(tc.Nodes))
-
-	// For each real node (and entry), DFS through virtual nodes to find the
-	// set of next real nodes.
-	for raw, rn := range b.nodes {
-		if rn.virtual && raw != entry {
+	idMap := b.idMap
+	seen := scratch[nraw : 2*nraw]
+	stack := scratch[2*nraw : 2*nraw]
+	cedges := b.edges[:0] // the raw edges now live in raw's slab
+	for src := 0; src < nraw; src++ {
+		if idMap[src] == -1 || src == exit {
 			continue
 		}
-		if raw == exit {
-			continue
-		}
-		src := idMap[raw]
-		seen := make([]bool, len(b.nodes))
-		stack := append([]int(nil), b.g.Succ(raw)...)
+		epoch := src + 1
+		stack = append(stack, raw.Succ(src)...)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[v] {
+			if seen[v] == epoch {
 				continue
 			}
-			seen[v] = true
+			seen[v] = epoch
 			if idMap[v] != -1 { // real node (or exit)
-				tc.G.AddEdgeUnique(src, idMap[v])
+				cedges = append(cedges, [2]int{idMap[src], idMap[v]})
 				continue
 			}
-			stack = append(stack, b.g.Succ(v)...)
+			stack = append(stack, raw.Succ(v)...)
 		}
 	}
+	tc.G = graph.FromEdges(len(tc.Nodes), cedges)
 	return tc, nil
 }
 

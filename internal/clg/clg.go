@@ -36,41 +36,47 @@ type CLG struct {
 	Orig []int
 	// IsIn marks CLG nodes that are incoming halves.
 	IsIn []bool
-
-	syncEdges map[int64]bool
 }
 
-func key(u, v int) int64 { return int64(u)<<32 | int64(uint32(v)) }
-
-// Build constructs the CLG of a sync graph by the paper's six steps.
+// Build constructs the CLG of a sync graph by the paper's six steps. The
+// node tables are sized from the sync graph's counts and the edges are
+// collected into one list for graph.FromEdges.
 func Build(s *sg.Graph) *CLG {
+	c, _ := build(s)
+	return c
+}
+
+// build is Build also returning the number of CLG edges derived from
+// sync edges.
+func build(s *sg.Graph) (*CLG, int) {
+	nr := s.NumRendezvous()
+	n := 2 + 2*nr
+	ints := make([]int, 2*s.N()+n)
 	c := &CLG{
-		SG:        s,
-		G:         graph.New(0),
-		In:        make([]int, s.N()),
-		Out:       make([]int, s.N()),
-		syncEdges: map[int64]bool{},
+		SG:   s,
+		In:   ints[:s.N():s.N()],
+		Out:  ints[s.N() : 2*s.N() : 2*s.N()],
+		Orig: ints[2*s.N():],
+		IsIn: make([]bool, n),
 	}
-	add := func(orig int, isIn bool) int {
-		id := c.G.AddNode()
-		c.Orig = append(c.Orig, orig)
-		c.IsIn = append(c.IsIn, isIn)
-		return id
-	}
+	edges := make([][2]int, 0, nr+s.NumControlEdges()+2*s.NumSyncEdges())
 
 	// Steps 1-3: distinguished nodes, split pairs, internal edges.
-	c.B = add(s.B, false)
-	c.E = add(s.E, false)
+	c.B, c.E = 0, 1
+	c.Orig[c.B], c.Orig[c.E] = s.B, s.E
 	c.In[s.B], c.Out[s.B] = c.B, c.B
 	c.In[s.E], c.Out[s.E] = c.E, c.E
-	for _, n := range s.Nodes {
-		if !n.IsRendezvous() {
+	id := 2
+	for _, nd := range s.Nodes {
+		if !nd.IsRendezvous() {
 			continue
 		}
-		ri := add(n.ID, true)
-		ro := add(n.ID, false)
-		c.In[n.ID], c.Out[n.ID] = ri, ro
-		c.G.AddEdge(ro, ri)
+		ri, ro := id, id+1
+		id += 2
+		c.Orig[ri], c.Orig[ro] = nd.ID, nd.ID
+		c.IsIn[ri] = true
+		c.In[nd.ID], c.Out[nd.ID] = ri, ro
+		edges = append(edges, [2]int{ro, ri})
 	}
 
 	// Steps 4-5: control edges.
@@ -78,13 +84,13 @@ func Build(s *sg.Graph) *CLG {
 		for _, v := range s.Control.Succ(u) {
 			switch {
 			case u == s.B && v == s.E:
-				c.G.AddEdgeUnique(c.B, c.E)
+				edges = append(edges, [2]int{c.B, c.E})
 			case u == s.B:
-				c.G.AddEdgeUnique(c.B, c.Out[v])
+				edges = append(edges, [2]int{c.B, c.Out[v]})
 			case v == s.E:
-				c.G.AddEdgeUnique(c.In[u], c.E)
+				edges = append(edges, [2]int{c.In[u], c.E})
 			default:
-				c.G.AddEdgeUnique(c.In[u], c.Out[v])
+				edges = append(edges, [2]int{c.In[u], c.Out[v]})
 			}
 		}
 	}
@@ -93,12 +99,15 @@ func Build(s *sg.Graph) *CLG {
 	for u, adj := range s.Sync {
 		for _, v := range adj {
 			if u < v {
-				c.addSync(c.Out[u], c.In[v])
-				c.addSync(c.Out[v], c.In[u])
+				edges = append(edges, [2]int{c.Out[u], c.In[v]}, [2]int{c.Out[v], c.In[u]})
 			}
 		}
 	}
-	return c
+	c.G = graph.FromEdges(n, edges)
+	// The first two steps' edges are distinct by construction (one
+	// internal edge per node; control edges map injectively), so the
+	// rest of the graph's edges derive from sync edges.
+	return c, c.G.M() - nr - s.Control.M()
 }
 
 // BuildTraced is Build recording the constructed graph's size — CLG
@@ -106,33 +115,33 @@ func Build(s *sg.Graph) *CLG {
 // nothing). The pipeline uses it so the CLG stage span carries the inputs
 // each masked SCC run operates on.
 func BuildTraced(s *sg.Graph, span *obs.Span) *CLG {
-	c := Build(s)
+	c, syncEdges := build(s)
 	if span != nil {
 		span.Add("clg_nodes", int64(c.G.N()))
 		span.Add("clg_edges", int64(c.G.M()))
-		span.Add("clg_sync_edges", int64(len(c.syncEdges)))
+		span.Add("clg_sync_edges", int64(syncEdges))
 	}
 	return c
 }
 
-func (c *CLG) addSync(u, v int) {
-	c.G.AddEdgeUnique(u, v)
-	c.syncEdges[key(u, v)] = true
-}
-
 // IsSyncEdge reports whether the CLG edge u->v derives from a sync edge.
-func (c *CLG) IsSyncEdge(u, v int) bool { return c.syncEdges[key(u, v)] }
+// The split decides it: control edges leave an incoming half (or b) and
+// enter an outgoing half (or e), and the internal edge joins one node's
+// own halves, so the sync edges are exactly the edges that enter another
+// node's incoming half from a half that is not incoming. The rule is
+// exact on CLG edges; it says nothing about pairs that are not edges.
+func (c *CLG) IsSyncEdge(u, v int) bool {
+	return c.IsIn[v] && !c.IsIn[u] && c.Orig[u] != c.Orig[v]
+}
 
 // N returns the CLG node count.
 func (c *CLG) N() int { return c.G.N() }
 
 // SizeBytes approximates the CLG's resident footprint, for byte-budgeted
-// caches: the digraph's adjacency and the node maps at their capacities,
-// plus the sync-edge set.
+// caches: the digraph's adjacency and the node maps at their capacities.
 func (c *CLG) SizeBytes() int64 {
 	sz := int64(unsafe.Sizeof(*c)) + c.G.SizeBytes()
-	sz += int64(cap(c.In)+cap(c.Out)+cap(c.Orig))*8 + int64(cap(c.IsIn))
-	return sz + graph.MapBytes(len(c.syncEdges), 16)
+	return sz + int64(cap(c.In)+cap(c.Out)+cap(c.Orig))*8 + int64(cap(c.IsIn))
 }
 
 // M returns the CLG edge count.

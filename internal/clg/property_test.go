@@ -17,9 +17,10 @@ import (
 //	        + |E_C| transformed control edges
 //	        + 2*|E_S| directed sync edges
 //
-// plus the constraint-1b shape: sync edges enter only _i halves and leave
-// only _o halves, and the only edge out of an _o half into its own _i is
-// the internal one.
+// plus the sync-edge classification: exactly the 2*|E_S| edges
+// Out[a]->In[b] and Out[b]->In[a] of the sync edges {a, b} are sync edges,
+// so constraint 1b (sync edges enter only _i halves and leave only _o
+// halves) holds by construction.
 func TestQuickCLGStructure(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,13 +42,26 @@ func TestQuickCLGStructure(t *testing.T) {
 		if c.M() != wantM {
 			return false
 		}
-		// Every sync edge runs from an _o half to an _i half.
+		// Exactly 2*|E_S| edges are classified as sync edges, and they
+		// are Out[a]->In[b] and Out[b]->In[a] for every sync edge {a, b}.
+		classified := 0
 		for u := 0; u < c.G.N(); u++ {
 			for _, v := range c.G.Succ(u) {
 				if c.IsSyncEdge(u, v) {
-					if c.IsIn[u] || !c.IsIn[v] {
+					classified++
+					if !g.HasSyncEdge(c.Orig[u], c.Orig[v]) || u != c.Out[c.Orig[u]] || v != c.In[c.Orig[v]] {
 						return false
 					}
+				}
+			}
+		}
+		if classified != 2*g.NumSyncEdges() {
+			return false
+		}
+		for a, adj := range g.Sync {
+			for _, b := range adj {
+				if !c.G.HasEdge(c.Out[a], c.In[b]) || !c.IsSyncEdge(c.Out[a], c.In[b]) {
+					return false
 				}
 			}
 		}

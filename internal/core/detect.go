@@ -28,6 +28,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/bitset"
 	"repro/internal/clg"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -169,42 +170,103 @@ func NewAnalyzer(g *sg.Graph) *Analyzer {
 // (CLG nodes/edges) into span (nil span records nothing).
 func NewAnalyzerTraced(g *sg.Graph, span *obs.Span) *Analyzer {
 	a := &Analyzer{SG: g, CLG: clg.BuildTraced(g, span), Ord: order.Compute(g), probes: new(sync.Pool)}
-	a.heads = a.computeHeads()
+	a.buildTables()
+	return a
+}
+
+// buildTables materializes the hypothesis tables: POSS-HEADS, the
+// SEQUENCEABLE and NOT-COEXEC sets of every rendezvous node, and the tail
+// candidates of every possible head. Each set is first formed word-wide
+// as a bit row; the rows' counts then size one slab, and every table row
+// is carved from it in ascending node order.
+func (a *Analyzer) buildTables() {
+	g, ord := a.SG, a.Ord
 	n := g.N()
-	a.seqSets = make([][]int, n)
-	a.ncxSets = make([][]int, n)
-	a.tails = make([][]int, n)
+	unsynced := bitset.NewRow(n) // nodes that cannot be tails
+	for _, nd := range g.Nodes {
+		if !nd.IsRendezvous() || len(g.Sync[nd.ID]) == 0 {
+			unsynced.Set(nd.ID)
+		}
+	}
+	// seq.Row(r): nodes s != r that r precedes, that precede r, or that
+	// cannot co-head with r. order.Compute relates rendezvous nodes only.
+	seq := bitset.NewMatrix(n)
+	precedes := make([]int, 0, n)
+	for r := 0; r < n; r++ {
+		bitset.Or(seq.Row(r), ord.Precede.Row(r))
+		bitset.Or(seq.Row(r), ord.NoCohead.Row(r))
+		precedes = ord.Precede.Row(r).Members(precedes[:0])
+		for _, s := range precedes {
+			seq.Set(s, r)
+		}
+	}
+	// tail.Row(h): rendezvous nodes with sync edges, strictly control-
+	// reachable from h, not same-type co-accepts of h and co-executable
+	// with h.
+	tail := bitset.NewMatrix(n)
+	nh, total := 0, 0
 	for _, nd := range g.Nodes {
 		if !nd.IsRendezvous() {
 			continue
 		}
-		a.seqSets[nd.ID] = a.Ord.SequenceableSet(nd.ID)
-		a.ncxSets[nd.ID] = a.Ord.NotCoexecSet(nd.ID)
-	}
-	for _, h := range a.heads {
-		a.tails[h] = a.computeTailCandidates(h)
-	}
-	return a
-}
-
-// computeHeads derives the paper's POSS-HEADS set: rendezvous nodes with
-// at least one sync edge that are the tail of at least one control edge
-// leading to another rendezvous node.
-func (a *Analyzer) computeHeads() []int {
-	g := a.SG
-	var out []int
-	for _, n := range g.Nodes {
-		if !n.IsRendezvous() || len(g.Sync[n.ID]) == 0 {
+		r := nd.ID
+		seq.Row(r).Clear(r)
+		total += seq.Row(r).Count() + ord.NotCoexec.Row(r).Count()
+		if !a.isHead(nd) {
 			continue
 		}
-		for _, s := range g.Control.Succ(n.ID) {
-			if s != g.E && g.Nodes[s].IsRendezvous() {
-				out = append(out, n.ID)
-				break
-			}
+		tr := tail.Row(r)
+		for _, s := range g.Control.Succ(r) {
+			bitset.Or(tr, ord.Reach.Row(s))
+		}
+		bitset.AndNot(tr, unsynced)
+		bitset.AndNot(tr, ord.NotCoexec.Row(r))
+		for _, k := range ord.CoAccept[r] {
+			tr.Clear(k)
+		}
+		nh++
+		total += tr.Count()
+	}
+
+	slab := make([]int, 0, nh+total)
+	carve := func(row bitset.Row) []int {
+		start := len(slab)
+		slab = row.Members(slab)
+		return slab[start:len(slab):len(slab)]
+	}
+	rows := make([][]int, 3*n)
+	a.seqSets, a.ncxSets, a.tails = rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
+	for _, nd := range g.Nodes {
+		if a.isHead(nd) {
+			slab = append(slab, nd.ID)
 		}
 	}
-	return out
+	a.heads = slab[:nh:nh]
+	for _, nd := range g.Nodes {
+		if nd.IsRendezvous() {
+			a.seqSets[nd.ID] = carve(seq.Row(nd.ID))
+			a.ncxSets[nd.ID] = carve(ord.NotCoexec.Row(nd.ID))
+		}
+	}
+	for _, h := range a.heads {
+		a.tails[h] = carve(tail.Row(h))
+	}
+}
+
+// isHead reports whether n is in the paper's POSS-HEADS set: a rendezvous
+// node with at least one sync edge that is the tail of at least one
+// control edge leading to another rendezvous node.
+func (a *Analyzer) isHead(n *sg.Node) bool {
+	g := a.SG
+	if !n.IsRendezvous() || len(g.Sync[n.ID]) == 0 {
+		return false
+	}
+	for _, s := range g.Control.Succ(n.ID) {
+		if s != g.E && g.Nodes[s].IsRendezvous() {
+			return true
+		}
+	}
+	return false
 }
 
 // PossibleHeads returns the paper's POSS-HEADS set, memoized at
@@ -219,30 +281,6 @@ func (a *Analyzer) Naive() Verdict {
 	v.Hypotheses = 1
 	v.SCCRuns = 1
 	return v
-}
-
-// computeTailCandidates derives valid tails for head h: rendezvous nodes
-// with sync edges, strictly control-reachable from h, not same-type
-// co-accepts of h and co-executable with h.
-func (a *Analyzer) computeTailCandidates(h int) []int {
-	g := a.SG
-	reach := g.Control.ReachableFrom(g.Control.Succ(h)...)
-	coacc := map[int]bool{}
-	for _, k := range a.Ord.CoAccept[h] {
-		coacc[k] = true
-	}
-	var out []int
-	for _, n := range g.Nodes {
-		t := n.ID
-		if !n.IsRendezvous() || !reach[t] || len(g.Sync[t]) == 0 {
-			continue
-		}
-		if coacc[t] || a.Ord.NotCoexec.Get(h, t) {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
 }
 
 // tailCandidates returns the cached tail set for possible head h (nil for

@@ -55,24 +55,35 @@ type sccFrame struct {
 }
 
 // newProbe returns a probe sized for the analyzer's CLG, drawing from the
-// analyzer's pool so repeated sweeps reuse scratch memory.
+// analyzer's pool so repeated sweeps reuse scratch memory. A fresh probe
+// cuts its int scratch from one slab; the Tarjan stack and component
+// buffer hold at most one entry per CLG node, so they never outgrow it.
 func (a *Analyzer) newProbe() *probe {
 	if p, ok := a.probes.Get().(*probe); ok && p != nil {
 		p.prunedSeq, p.prunedCoacc, p.prunedNcx, p.hypothesesRun = 0, 0, 0, 0
 		return p
 	}
 	n := a.CLG.N()
+	ints := make([]int, 9*n+a.SG.N())
+	cut := func(size int) []int {
+		s := ints[:size:size]
+		ints = ints[size:]
+		return s
+	}
 	return &probe{
 		a:           a,
-		blocked:     make([]int, n),
-		noSyncInto:  make([]int, n),
-		noSyncOutOf: make([]int, n),
-		visited:     make([]int, n),
-		index:       make([]int, n),
-		low:         make([]int, n),
+		blocked:     cut(n),
+		noSyncInto:  cut(n),
+		noSyncOutOf: cut(n),
+		visited:     cut(n),
+		index:       cut(n),
+		low:         cut(n),
+		compOf:      cut(n),
+		stack:       cut(n)[:0],
+		compBuf:     cut(n)[:0],
+		witSeen:     cut(a.SG.N()),
 		onStack:     make([]bool, n),
-		compOf:      make([]int, n),
-		witSeen:     make([]int, a.SG.N()),
+		frames:      make([]sccFrame, 0, n),
 	}
 }
 

@@ -26,6 +26,71 @@ func New(n int) *Digraph {
 	return &Digraph{succ: make([][]int, n), pred: make([][]int, n)}
 }
 
+// FromEdges returns the digraph on nodes 0..n-1 that calling AddEdgeUnique
+// on each edge in order would build, in a fixed handful of allocations:
+// every successor and predecessor row is carved from one slab, keeps its
+// insertion order, and is capped at its own degree, so a later AddEdge
+// reallocates that row alone instead of overwriting its neighbour. Nodes
+// without edges keep nil rows, as in New.
+func FromEdges(n int, edges [][2]int) *Digraph {
+	rows := make([][]int, 2*n)
+	g := &Digraph{succ: rows[:n:n], pred: rows[n:]}
+	// Out-degrees, then in-degrees, duplicates included; small graphs
+	// count on the stack.
+	var small [64]int
+	deg := small[:0]
+	if 2*n <= len(small) {
+		deg = small[:2*n]
+	} else {
+		deg = make([]int, 2*n)
+	}
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[n+e[1]]++
+	}
+	slab := make([]int, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			rows[v] = slab[off : off : off+d]
+			off += d
+		}
+	}
+	for _, e := range edges {
+		if row := g.succ[e[0]]; !contains(row, e[1]) {
+			g.succ[e[0]] = append(row, e[1])
+		}
+	}
+	// Walk the edges again: an edge was kept iff it is the next entry of
+	// its source's row (a duplicate repeats an earlier entry, so it can
+	// never be the next one). deg[:n] is reused as the per-row cursor.
+	next := deg[:n]
+	clear(next)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if row := g.succ[u]; next[u] < len(row) && row[next[u]] == v {
+			next[u]++
+			g.pred[v] = append(g.pred[v], u)
+			g.m++
+		}
+	}
+	for v, row := range rows {
+		if row != nil {
+			rows[v] = row[:len(row):len(row)]
+		}
+	}
+	return g
+}
+
+func contains(s []int, v int) bool {
+	for _, w := range s {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
 // N reports the number of nodes.
 func (g *Digraph) N() int { return len(g.succ) }
 
@@ -87,12 +152,9 @@ func (g *Digraph) AddEdge(u, v int) {
 func (g *Digraph) AddEdgeUnique(u, v int) {
 	g.EnsureNode(u)
 	g.EnsureNode(v)
-	for _, w := range g.succ[u] {
-		if w == v {
-			return
-		}
+	if !contains(g.succ[u], v) {
+		g.AddEdge(u, v)
 	}
-	g.AddEdge(u, v)
 }
 
 // HasEdge reports whether the edge u->v is present.
@@ -238,21 +300,19 @@ func (g *Digraph) Topo() ([]int, error) {
 			indeg[v]++
 		}
 	}
-	queue := make([]int, 0, g.N())
+	// Kahn's algorithm. Nodes leave the queue in the order they entered
+	// it, so the queue itself becomes the order.
+	order := make([]int, 0, g.N())
 	for v, d := range indeg {
 		if d == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	order := make([]int, 0, g.N())
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.succ[v] {
+	for i := 0; i < len(order); i++ {
+		for _, w := range g.succ[order[i]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
@@ -353,14 +413,17 @@ func SCCSizes(comp []int, ncomp int) []int {
 // idom[entry] == entry; nodes unreachable from entry get idom -1.
 func (g *Digraph) Dominators(entry int) []int {
 	n := g.N()
-	// Reverse postorder of the reachable subgraph.
-	order := make([]int, 0, n)
+	// Reverse postorder of the reachable subgraph. The DFS stack holds
+	// each node at most once, so it never outgrows n frames; the order,
+	// rpo and idom arrays share one slab.
+	ints := make([]int, 3*n)
+	order, rpo, idom := ints[:0:n], ints[n:2*n:2*n], ints[2*n:]
 	seen := make([]bool, n)
 	type frame struct {
 		v  int
 		ei int
 	}
-	stack := []frame{{entry, 0}}
+	stack := append(make([]frame, 0, n), frame{entry, 0})
 	seen[entry] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -380,14 +443,12 @@ func (g *Digraph) Dominators(entry int) []int {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	rpo := make([]int, n)
 	for i := range rpo {
 		rpo[i] = -1
 	}
 	for i, v := range order {
 		rpo[v] = i
 	}
-	idom := make([]int, n)
 	for i := range idom {
 		idom[i] = -1
 	}

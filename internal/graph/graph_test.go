@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,41 @@ func TestAddEdgeUnique(t *testing.T) {
 	g.AddEdge(0, 1)
 	if g.M() != 2 {
 		t.Fatalf("parallel AddEdge suppressed: M=%d", g.M())
+	}
+}
+
+// FromEdges builds exactly the graph that AddEdgeUnique builds edge by
+// edge — duplicates dropped, every row in insertion order — with each row
+// capped at its degree, so growing one row never touches its neighbour.
+func TestQuickFromEdgesMatchesAddEdgeUnique(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(48) // both sides of FromEdges' stack-counted size
+		edges := make([][2]int, rng.Intn(3*n))
+		for i := range edges {
+			edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		want := New(n)
+		for _, e := range edges {
+			want.AddEdgeUnique(e[0], e[1])
+		}
+		got := FromEdges(n, edges)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("FromEdges(%d, %v) = %v, want %v", n, edges, got, want)
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if cap(got.Succ(v)) != len(got.Succ(v)) || cap(got.Pred(v)) != len(got.Pred(v)) {
+				return false
+			}
+		}
+		u, v := rng.Intn(n), rng.Intn(n)
+		got.AddEdge(u, v)
+		want.AddEdge(u, v)
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -70,6 +70,10 @@ type Info struct {
 	NoCohead bitset.Matrix
 	// NotCoexec.Get(r, s) reports r and s never execute in the same run.
 	NotCoexec bitset.Matrix
+	// Reach.Get(u, v) reports that v is control-reachable from u; every
+	// node reaches itself. Unlike the relations above it also holds on
+	// graphs with control cycles.
+	Reach bitset.Matrix
 	// CoAccept[r] lists same-type accept nodes for accept r (empty for
 	// sends, per the paper's COACCEPT vector).
 	CoAccept [][]int
@@ -85,26 +89,15 @@ func Compute(g *sg.Graph) *Info {
 	info.Precede = bitset.NewMatrix(n)
 	info.NoCohead = bitset.NewMatrix(n)
 	info.NotCoexec = bitset.NewMatrix(n)
-	info.CoAccept = make([][]int, n)
+	info.CoAccept = coAcceptRows(g.Nodes) // loop-independent
 
-	// COACCEPT is loop-independent.
-	for _, r := range g.Nodes {
-		if r.Kind != cfg.KindAccept {
-			continue
-		}
-		for _, s := range g.Nodes {
-			if s.ID != r.ID && s.Kind == cfg.KindAccept && s.Sig == r.Sig {
-				info.CoAccept[r.ID] = append(info.CoAccept[r.ID], s.ID)
-			}
-		}
+	topo, err := g.Control.Topo()
+	info.LoopFree = err == nil
+	info.Reach = reachability(g.Control, topo)
+	if !info.LoopFree {
+		return info // no ordering facts
 	}
-
-	if cyc, _ := g.Control.HasCycle(); cyc {
-		return info // LoopFree=false: no ordering facts
-	}
-	info.LoopFree = true
-
-	reach := g.Control.TransitiveClosure()
+	reach := info.Reach
 	idom := g.Control.Dominators(g.B)
 
 	rendezvous := make([]int, 0, n)
@@ -131,7 +124,7 @@ func Compute(g *sg.Graph) *Info {
 		nodes := g.TaskNodes(ti)
 		for i, r := range nodes {
 			for _, s := range nodes[i+1:] {
-				if !reach[r][s] && !reach[s][r] {
+				if !reach.Get(r, s) && !reach.Get(s, r) {
 					info.NotCoexec.Set(r, s)
 					info.NotCoexec.Set(s, r)
 				}
@@ -205,12 +198,71 @@ func Compute(g *sg.Graph) *Info {
 	return info
 }
 
+// reachability returns the reflexive reachability matrix of g. Folding
+// each node's successor rows into its own row in reverse topological
+// order closes it in one pass; a cyclic graph (nil topo) is folded in
+// reverse id order until no row changes.
+func reachability(g *graph.Digraph, topo []int) bitset.Matrix {
+	n := g.N()
+	reach := bitset.NewMatrix(n)
+	for v := 0; v < n; v++ {
+		reach.Set(v, v)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			u := i
+			if topo != nil {
+				u = topo[i]
+			}
+			for _, v := range g.Succ(u) {
+				if bitset.Or(reach.Row(u), reach.Row(v)) {
+					changed = true
+				}
+			}
+		}
+		changed = changed && topo == nil
+	}
+	return reach
+}
+
+// coAcceptRows lists, for every accept node, the other accepts of its
+// signal type in ascending id order. A counting pass sizes one slab that
+// the rows are carved from.
+func coAcceptRows(nodes []*sg.Node) [][]int {
+	coAccept := func(r, s *sg.Node) bool {
+		return r.Kind == cfg.KindAccept && s.Kind == cfg.KindAccept && s.ID != r.ID && s.Sig == r.Sig
+	}
+	total := 0
+	for _, r := range nodes {
+		for _, s := range nodes {
+			if coAccept(r, s) {
+				total++
+			}
+		}
+	}
+	rows := make([][]int, len(nodes))
+	slab := make([]int, 0, total)
+	for _, r := range nodes {
+		start := len(slab)
+		for _, s := range nodes {
+			if coAccept(r, s) {
+				slab = append(slab, s.ID)
+			}
+		}
+		if len(slab) > start {
+			rows[r.ID] = slab[start:len(slab):len(slab)]
+		}
+	}
+	return rows
+}
+
 // SizeBytes approximates the Info's resident footprint, for byte-budgeted
-// caches that retain ordering facts across requests: the three bit
+// caches that retain ordering facts across requests: the four bit
 // matrices dominate, plus the CoAccept adjacency at its capacity.
 func (i *Info) SizeBytes() int64 {
 	sz := int64(unsafe.Sizeof(*i))
-	sz += i.Precede.SizeBytes() + i.NoCohead.SizeBytes() + i.NotCoexec.SizeBytes()
+	sz += i.Precede.SizeBytes() + i.NoCohead.SizeBytes() + i.NotCoexec.SizeBytes() + i.Reach.SizeBytes()
 	return sz + graph.TableBytes(i.CoAccept)
 }
 

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 	"sync"
 
 	siwa "repro"
@@ -22,19 +22,31 @@ func (k CacheKey) String() string { return fmt.Sprintf("%x", k[:8]) }
 // Key computes the content address of (source, options). Options are
 // canonicalized first — zero-value limits are replaced by the defaults the
 // pipeline would apply — so e.g. EnumerateLimit 0 and 4096 share an entry.
+// The hashed bytes are the header "siwa-report-v<schema>\x00algo=<n>;
+// all=<bool>;...;loopLimit=<n>\x00" followed by the source, rendered into
+// a pooled buffer, so a key costs no allocation once the pool is warm.
 func Key(source string, opt siwa.Options) CacheKey {
 	opt = canonicalize(opt)
-	h := sha256.New()
-	fmt.Fprintf(h, "siwa-report-v%d\x00algo=%d;all=%t;c4=%t;enum=%t;enumLimit=%d;fifo=%t;exact=%t;maxStates=%d;maxAnomalies=%d;loopLimit=%d\x00",
-		siwa.SchemaVersion, opt.Algorithm, opt.AllAlgorithms, opt.Constraint4,
-		opt.Enumerate, opt.EnumerateLimit, opt.FIFO, opt.Exact,
-		opt.ExactOptions.MaxStates, opt.ExactOptions.MaxAnomalies,
-		opt.ExactOptions.LoopExpansionLimit)
-	io.WriteString(h, source)
-	var k CacheKey
-	h.Sum(k[:0])
-	return k
+	buf := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(buf)
+	b := append((*buf)[:0], "siwa-report-v"...)
+	b = strconv.AppendInt(b, int64(siwa.SchemaVersion), 10)
+	b = strconv.AppendInt(append(b, "\x00algo="...), int64(opt.Algorithm), 10)
+	b = strconv.AppendBool(append(b, ";all="...), opt.AllAlgorithms)
+	b = strconv.AppendBool(append(b, ";c4="...), opt.Constraint4)
+	b = strconv.AppendBool(append(b, ";enum="...), opt.Enumerate)
+	b = strconv.AppendInt(append(b, ";enumLimit="...), int64(opt.EnumerateLimit), 10)
+	b = strconv.AppendBool(append(b, ";fifo="...), opt.FIFO)
+	b = strconv.AppendBool(append(b, ";exact="...), opt.Exact)
+	b = strconv.AppendInt(append(b, ";maxStates="...), int64(opt.ExactOptions.MaxStates), 10)
+	b = strconv.AppendInt(append(b, ";maxAnomalies="...), int64(opt.ExactOptions.MaxAnomalies), 10)
+	b = strconv.AppendInt(append(b, ";loopLimit="...), int64(opt.ExactOptions.LoopExpansionLimit), 10)
+	b = append(append(b, 0), source...)
+	*buf = b
+	return sha256.Sum256(b)
 }
+
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // canonicalize replaces zero-value limits with the defaults each pipeline
 // stage would substitute, so equivalent requests address the same entry.

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	siwa "repro"
@@ -66,6 +70,49 @@ func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 		if k := Key(src, opt); k != base {
 			t.Errorf("execution knob %q leaked into the cache key", name)
 		}
+	}
+}
+
+// TestKeyHeaderFormat pins the hashed bytes against their fmt rendering,
+// so keys stay what they were before Key stopped using fmt.
+func TestKeyHeaderFormat(t *testing.T) {
+	ref := func(source string, opt siwa.Options) CacheKey {
+		opt = canonicalize(opt)
+		h := sha256.New()
+		fmt.Fprintf(h, "siwa-report-v%d\x00algo=%d;all=%t;c4=%t;enum=%t;enumLimit=%d;fifo=%t;exact=%t;maxStates=%d;maxAnomalies=%d;loopLimit=%d\x00",
+			siwa.SchemaVersion, opt.Algorithm, opt.AllAlgorithms, opt.Constraint4,
+			opt.Enumerate, opt.EnumerateLimit, opt.FIFO, opt.Exact,
+			opt.ExactOptions.MaxStates, opt.ExactOptions.MaxAnomalies,
+			opt.ExactOptions.LoopExpansionLimit)
+		io.WriteString(h, source)
+		var k CacheKey
+		h.Sum(k[:0])
+		return k
+	}
+	long := strings.Repeat("task t is begin null; end;\n", 200)
+	for _, src := range []string{"", "task t is begin null; end;", long} {
+		for _, opt := range []siwa.Options{
+			{},
+			{Algorithm: siwa.AlgoRefinedHeadTailPairs, AllAlgorithms: true, Constraint4: true, FIFO: true},
+			{Enumerate: true, EnumerateLimit: 7, Exact: true,
+				ExactOptions: waves.Options{MaxStates: 99, MaxAnomalies: 3, LoopExpansionLimit: 5}},
+		} {
+			if got, want := Key(src, opt), ref(src, opt); got != want {
+				t.Errorf("Key(%d-byte source, %+v) = %s, want %s", len(src), opt, got, want)
+			}
+		}
+	}
+}
+
+func TestKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	src := strings.Repeat("task t is begin null; end;\n", 100)
+	opt := siwa.Options{Algorithm: siwa.AlgoRefinedPairs}
+	Key(src, opt) // warm the buffer pool
+	if avg := testing.AllocsPerRun(100, func() { Key(src, opt) }); avg > 0 {
+		t.Errorf("Key allocates %.1f objects per call, want 0", avg)
 	}
 }
 

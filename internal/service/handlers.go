@@ -235,19 +235,19 @@ func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options
 		}
 		s.metrics.ObserveSpans(rep.Trace)
 		// The cached report must be identical for traced and untraced
-		// requests (they share a key), so the span tree is projected out
-		// of the stored JSON and carried separately.
-		jr := rep.JSONReport()
-		traceJSON := jr.Trace
-		jr.Trace = nil
-		b, err := json.Marshal(jr)
+		// requests (they share a key), so it is rendered with the span
+		// tree detached. The tree is projected to JSON only for a
+		// requester that asked for it; sampling alone never does.
+		trace := rep.Trace
+		rep.Trace = nil
+		b, err := json.Marshal(rep.JSONReport())
 		if err != nil {
 			runErr = err
 			return
 		}
 		out = analyzeOutcome{report: b, verdict: verdictOf(rep), degraded: rep.Degraded}
 		if wantTrace {
-			out.trace = traceJSON
+			out.trace = trace.JSON()
 		}
 		if !rep.Degraded {
 			// A degraded report reflects this run's deadline, not the

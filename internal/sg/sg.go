@@ -9,6 +9,7 @@ package sg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -72,89 +73,136 @@ type Graph struct {
 }
 
 // Build parses nothing: it constructs the sync graph from per-task CFGs.
+// Every table is sized from the CFGs' counts up front: the nodes live in
+// one slab, the control edges are collected into one list for
+// graph.FromEdges, and the sync rows are carved from one slab.
 func Build(pc *cfg.ProgramCFG) *Graph {
+	n, maxCFG, nedges := 2, 0, 0
+	for _, tc := range pc.Tasks {
+		n += len(tc.Nodes) - 2
+		maxCFG = max(maxCFG, len(tc.Nodes))
+		nedges += tc.G.M()
+	}
+	nt := len(pc.Tasks)
 	g := &Graph{
-		Prog:    pc.Prog,
-		Control: graph.New(2),
-		byLabel: map[string]int{},
+		Prog:       pc.Prog,
+		Nodes:      make([]*Node, n),
+		B:          0,
+		E:          1,
+		Tasks:      make([]string, nt),
+		TaskOf:     make([]int, n),
+		taskNodes:  make([][]int, nt),
+		skipToExit: make([]bool, nt),
+		byLabel:    make(map[string]int, n-2),
 	}
-	g.Nodes = []*Node{{ID: 0, Kind: cfg.KindEntry}, {ID: 1, Kind: cfg.KindExit}}
-	g.B, g.E = 0, 1
-	g.TaskOf = []int{-1, -1}
+	ids := make([]int, n-2)       // every task's rendezvous ids, in order
+	cfgMap := make([]int, maxCFG) // one task's CFG id -> SG id, reused
+	nodes := make([]Node, n)
+	nodes[0] = Node{ID: 0, Kind: cfg.KindEntry}
+	nodes[1] = Node{ID: 1, Kind: cfg.KindExit}
+	g.Nodes[0], g.Nodes[1] = &nodes[0], &nodes[1]
+	g.TaskOf[0], g.TaskOf[1] = -1, -1
 
-	// Create rendezvous nodes task by task; remember CFG-id -> SG-id maps.
-	maps := make([][]int, len(pc.Tasks))
+	// Create rendezvous nodes task by task, and each task's control edges
+	// over SG ids in CFG row order.
+	edges := make([][2]int, 0, nedges)
+	id := 2
 	for ti, tc := range pc.Tasks {
-		g.Tasks = append(g.Tasks, tc.Task)
-		m := make([]int, len(tc.Nodes))
-		for i := range m {
-			m[i] = -1
-		}
-		m[tc.Entry] = g.B
-		m[tc.Exit] = g.E
-		var ids []int
-		for _, n := range tc.Nodes {
-			if n.Kind != cfg.KindSend && n.Kind != cfg.KindAccept {
-				continue
+		g.Tasks[ti] = tc.Task
+		m := cfgMap[:len(tc.Nodes)]
+		first := id
+		for _, cn := range tc.Nodes {
+			switch {
+			case cn.ID == tc.Entry:
+				m[cn.ID] = g.B
+			case cn.ID == tc.Exit:
+				m[cn.ID] = g.E
+			case cn.Kind == cfg.KindSend || cn.Kind == cfg.KindAccept:
+				nodes[id] = Node{ID: id, Task: tc.Task, Kind: cn.Kind, Sig: cn.Sig, Label: cn.Label}
+				g.Nodes[id] = &nodes[id]
+				g.TaskOf[id] = ti
+				ids[id-2] = id
+				m[cn.ID] = id
+				if cn.Label != "" {
+					g.byLabel[cn.Label] = id
+				}
+				id++
+			default:
+				m[cn.ID] = -1
 			}
-			id := len(g.Nodes)
-			g.Nodes = append(g.Nodes, &Node{
-				ID: id, Task: tc.Task, Kind: n.Kind, Sig: n.Sig, Label: n.Label,
-			})
-			g.TaskOf = append(g.TaskOf, ti)
-			m[n.ID] = id
-			ids = append(ids, id)
-			if n.Label != "" {
-				g.byLabel[n.Label] = id
-			}
 		}
-		maps[ti] = m
-		g.taskNodes = append(g.taskNodes, ids)
-		g.skipToExit = append(g.skipToExit, tc.G.HasEdge(tc.Entry, tc.Exit))
-	}
-
-	// Control edges.
-	g.Control.EnsureNode(len(g.Nodes) - 1)
-	for ti, tc := range pc.Tasks {
-		m := maps[ti]
+		g.taskNodes[ti] = ids[first-2 : id-2 : id-2]
+		g.skipToExit[ti] = tc.G.HasEdge(tc.Entry, tc.Exit)
 		for u := 0; u < tc.G.N(); u++ {
 			for _, v := range tc.G.Succ(u) {
-				g.Control.AddEdgeUnique(m[u], m[v])
+				edges = append(edges, [2]int{m[u], m[v]})
 			}
 		}
 	}
-
-	// Sync edges: every complementary pair of the same signal type.
-	g.Sync = make([][]int, len(g.Nodes))
-	type ends struct{ plus, minus []int }
-	bySig := map[lang.Signal]*ends{}
-	for _, n := range g.Nodes {
-		if !n.IsRendezvous() {
-			continue
-		}
-		e := bySig[n.Sig]
-		if e == nil {
-			e = &ends{}
-			bySig[n.Sig] = e
-		}
-		if n.Kind == cfg.KindSend {
-			e.plus = append(e.plus, n.ID)
-		} else {
-			e.minus = append(e.minus, n.ID)
-		}
-	}
-	for _, e := range bySig {
-		for _, p := range e.plus {
-			for _, m := range e.minus {
-				g.Sync[p] = append(g.Sync[p], m)
-				g.Sync[m] = append(g.Sync[m], p)
-			}
-		}
-	}
-	for _, adj := range g.Sync {
-		sort.Ints(adj)
-	}
+	g.Control = graph.FromEdges(n, edges)
+	g.Sync = syncRows(g.Nodes)
 	return g
+}
+
+// syncRows builds E_S: every complementary pair of the same signal type,
+// each row listing its partners in ascending id order. Rendezvous nodes
+// are sorted by (signal, id) so each signal's nodes form one run; the
+// rows are carved from one slab sized by the runs' send and accept
+// counts.
+func syncRows(nodes []*Node) [][]int {
+	ids := make([]int, 0, len(nodes))
+	for _, n := range nodes {
+		if n.IsRendezvous() {
+			ids = append(ids, n.ID)
+		}
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		sa, sb := nodes[a].Sig, nodes[b].Sig
+		if c := strings.Compare(sa.Task, sb.Task); c != 0 {
+			return c
+		}
+		if c := strings.Compare(sa.Msg, sb.Msg); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	total := 0
+	for i, j := 0, 0; i < len(ids); i = j {
+		j = runEnd(nodes, ids, i)
+		plus := 0
+		for _, v := range ids[i:j] {
+			if nodes[v].Kind == cfg.KindSend {
+				plus++
+			}
+		}
+		total += 2 * plus * (j - i - plus)
+	}
+	rows := make([][]int, len(nodes))
+	slab := make([]int, 0, total)
+	for i, j := 0, 0; i < len(ids); i = j {
+		j = runEnd(nodes, ids, i)
+		for _, u := range ids[i:j] {
+			start := len(slab)
+			for _, v := range ids[i:j] {
+				if nodes[u].Kind != nodes[v].Kind {
+					slab = append(slab, v)
+				}
+			}
+			if len(slab) > start {
+				rows[u] = slab[start:len(slab):len(slab)]
+			}
+		}
+	}
+	return rows
+}
+
+// runEnd returns the end of the run of ids[i]'s signal type in ids.
+func runEnd(nodes []*Node, ids []int, i int) int {
+	j := i + 1
+	for j < len(ids) && nodes[ids[j]].Sig == nodes[ids[i]].Sig {
+		j++
+	}
+	return j
 }
 
 // FromProgram builds CFGs and then the sync graph in one step.

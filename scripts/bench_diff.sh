@@ -41,9 +41,10 @@ COUNT=5
 SETTINGS="-cpu $CPU -benchtime $BENCHTIME (service $SERVICE_BENCHTIME) -count $COUNT"
 
 # The pinned hot paths: end-to-end analysis, the parse and sync-graph
-# stages, the stage cache's warm/cold pair, the service result cache, and
-# the pooled JSON response writer.
-PIN_ROOT='^(BenchmarkEndToEndAnalyze|BenchmarkParse$|BenchmarkSyncGraphBuild|BenchmarkStageCacheWarmSecondAlgorithm)'
+# stages, analyzer construction (CLG, ordering facts and hypothesis
+# tables), the stage cache's warm/cold pair, the service result cache,
+# and the pooled JSON response writer.
+PIN_ROOT='^(BenchmarkEndToEndAnalyze|BenchmarkParse$|BenchmarkSyncGraphBuild|BenchmarkOrderingFacts|BenchmarkStageCacheWarmSecondAlgorithm)'
 PIN_SERVICE='^(BenchmarkServiceCacheHit$|BenchmarkWriteJSON)'
 
 header() { # $1 = key, $2 = value; one go test -json style output event
