@@ -38,8 +38,10 @@ smoke:
 	bash scripts/trace_smoke.sh
 	bash scripts/chaos_smoke.sh
 
+# The benchmark is a nested module, so the root ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Repo-specific static analysis: the paper's infinite-wait lens turned on
 # our own concurrency code (see internal/lint). Fails on any unsuppressed

@@ -30,7 +30,7 @@
 //	-stage-cache-mb N stage cache byte budget in MiB: memoized pipeline
 //	                  artifacts (parse+unroll, CLG + ordering tables,
 //	                  per-algorithm verdicts) keyed on the source digest;
-//	                  0 default (64), -1 disables
+//	                  0 default (8), -1 disables
 //	-max-body N       request body limit in bytes (default 4 MiB)
 //	-max-batch N      programs per batch request (default 256)
 //	-timeout D        default per-request analysis deadline (default 30s)
@@ -86,7 +86,7 @@ func run(args []string) int {
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth before shedding (0 = 4x workers, -1 disables waiting)")
 	limitsSpec := fs.String("limits", "", "per-analysis resource caps: tasks=N,nodes=N,unrolled=N, or off/default (default: default)")
 	cache := fs.Int("cache", 0, "result cache entries (0 = 1024, -1 disables)")
-	stageCacheMB := fs.Int("stage-cache-mb", 0, "stage cache byte budget in MiB (0 = 64, -1 disables)")
+	stageCacheMB := fs.Int("stage-cache-mb", 0, "stage cache byte budget in MiB (0 = 8, -1 disables)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = 4 MiB)")
 	maxBatch := fs.Int("max-batch", 0, "programs per batch request (0 = 256)")
 	timeout := fs.Duration("timeout", 0, "default analysis deadline (0 = 30s)")

@@ -53,16 +53,30 @@ func (u *upstream) relay(w http.ResponseWriter) {
 	w.Write(u.body)
 }
 
-// readAllSized is io.ReadAll with a capacity hint, so relaying a response
+// readAllSized is io.ReadAll with a length hint, so relaying a response
 // whose length is known up front costs one allocation instead of a
-// doubling growth chain.
+// growth chain. The buffer has one byte to spare, so the read after the
+// hinted length sees EOF; only a body longer than its hint falls back to
+// io.ReadAll for the rest. As in io.ReadAll, only io.EOF ends the body
+// cleanly: any other error, io.ErrUnexpectedEOF from a body cut short
+// included, comes back with the bytes read so far.
 func readAllSized(r io.Reader, sizeHint int64) ([]byte, error) {
 	if sizeHint <= 0 || sizeHint > 1<<24 {
 		return io.ReadAll(r)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, sizeHint+1))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	buf := make([]byte, sizeHint+1)
+	for n := 0; n < len(buf); {
+		m, err := r.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			return buf[:n], nil
+		}
+		if err != nil {
+			return buf[:n], err
+		}
+	}
+	rest, err := io.ReadAll(r)
+	return append(buf, rest...), err
 }
 
 // unavailableError reports that a backend could not be reached at the

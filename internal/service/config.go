@@ -51,7 +51,11 @@ type Config struct {
 	// all requests. Unlike the result cache — which only hits on an exact
 	// (source, options) repeat — the stage cache makes a warm source
 	// asked for a *different* algorithm run only that detector sweep.
-	// 0 means 64 MiB; negative disables the stage cache.
+	// 0 means 8 MiB; negative disables the stage cache. The default is
+	// small on purpose: the budget only has to hold a source's artifacts
+	// until its next question, and every byte beyond that fills with the
+	// artifacts of sources asked once, which the heap then keeps. Raise
+	// it for traffic that returns to a source after many others.
 	StageCacheMB int
 	// MaxBodyBytes caps the request body; larger requests get HTTP 413.
 	// 0 means 4 MiB.
@@ -128,7 +132,7 @@ func (c Config) Normalize() Config {
 		c.CacheEntries = 1024
 	}
 	if c.StageCacheMB == 0 {
-		c.StageCacheMB = 64
+		c.StageCacheMB = 8
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20

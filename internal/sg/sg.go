@@ -59,7 +59,6 @@ func (n *Node) String() string {
 
 // Graph is the sync graph of a program.
 type Graph struct {
-	Prog    *lang.Program
 	Nodes   []*Node
 	B, E    int            // ids of the distinguished nodes (always 0, 1)
 	Control *graph.Digraph // E_C, directed, over node ids
@@ -85,7 +84,6 @@ func Build(pc *cfg.ProgramCFG) *Graph {
 	}
 	nt := len(pc.Tasks)
 	g := &Graph{
-		Prog:       pc.Prog,
 		Nodes:      make([]*Node, n),
 		B:          0,
 		E:          1,

@@ -4,7 +4,7 @@
 // The paper's pipeline is strictly staged, and everything up to the
 // detector sweep depends only on the source (plus the FIFO refinement
 // flag, which rewrites the sync graph). The stage cache exploits that
-// shape with three memoization layers:
+// shape with six key families, one per memoized stage group:
 //
 //	src:<digest>              parse + inline + Lemma-1 unroll artifacts
 //	an:<digest>:f<fifo>       sync graph (post-FIFO) + CLG + ordering tables
