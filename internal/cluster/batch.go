@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -48,7 +49,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := service.DecodeJSON(bytes.NewReader(body), &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest,
 			"invalid request body: %v", err)
 		return

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 
 	siwa "repro"
@@ -134,6 +136,63 @@ func TestReportBytesIdenticalAcrossTiers(t *testing.T) {
 					check(target.path, pass, i, r.Report, r.Cached)
 				}
 			}
+		}
+	}
+}
+
+// TestRequestBodyRejectionIdenticalAcrossTiers: a replica and the gateway
+// in front of it accept and reject the same request bodies, with the same
+// status and error code. Each table body was once answered 200 by one
+// tier and 400 by the other: bytes after the JSON value reached a replica
+// unchecked, and the gateway's batch decode dropped unknown fields, so a
+// misspelled key silently ran the default analysis.
+func TestRequestBodyRejectionIdenticalAcrossTiers(t *testing.T) {
+	f := newFleet(t, 1, service.Config{})
+	_, gw := newTestGateway(t, f.urls, Config{})
+	const src = `"task a is begin end;"`
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			return resp.StatusCode, ""
+		}
+		return resp.StatusCode, decodeError(t, data).Code
+	}
+	for _, c := range []struct{ name, path, body string }{
+		{"single, trailing bytes", "/v1/analyze", `{"source":` + src + `} trailing`},
+		{"single, second value", "/v1/analyze", `{"source":` + src + `} {"source":` + src + `}`},
+		{"batch, trailing bytes", "/v1/analyze/batch", `{"programs":[{"source":` + src + `}]} trailing`},
+		{"batch, unknown field", "/v1/analyze/batch", `{"programs":[{"source":` + src + `}],"optoins":{"algorithm":"pairs"}}`},
+		{"batch, unknown program field", "/v1/analyze/batch", `{"programs":[{"source":` + src + `,"optoins":{"algorithm":"pairs"}}]}`},
+	} {
+		rs, rc := post(f.urls[0]+c.path, c.body)
+		gs, gc := post(gw.URL+c.path, c.body)
+		if rs != gs || rc != gc {
+			t.Errorf("%s: replica answered (%d, %q), gateway (%d, %q)", c.name, rs, rc, gs, gc)
+		}
+		if rs != http.StatusBadRequest || rc != service.CodeInvalidRequest {
+			t.Errorf("%s: got (%d, %q), want (400, %q)", c.name, rs, rc, service.CodeInvalidRequest)
+		}
+	}
+	// Whitespace after the value is not data: both tiers accept it.
+	for _, path := range []string{"/v1/analyze", "/v1/analyze/batch"} {
+		body := `{"source":` + src + "}\n\t \n"
+		if path == "/v1/analyze/batch" {
+			body = `{"programs":[{"source":` + src + "}]}\r\n"
+		}
+		if rs, _ := post(f.urls[0]+path, body); rs != http.StatusOK {
+			t.Errorf("replica %s: trailing whitespace answered %d", path, rs)
+		}
+		if gs, _ := post(gw.URL+path, body); gs != http.StatusOK {
+			t.Errorf("gateway %s: trailing whitespace answered %d", path, gs)
 		}
 	}
 }

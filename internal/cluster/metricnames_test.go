@@ -16,6 +16,7 @@ import (
 var dynamicGatewayFamilies = map[string]bool{
 	"siwa_gateway_traces_retained_total":     true,
 	"siwa_gateway_traces_dropped_total":      true,
+	"siwa_gateway_traces_retained_bytes":     true,
 	"siwa_gateway_go_goroutines":             true,
 	"siwa_gateway_go_heap_inuse_bytes":       true,
 	"siwa_gateway_go_gc_pause_seconds_total": true,

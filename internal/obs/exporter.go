@@ -32,36 +32,36 @@ type ExportedTrace struct {
 	DurationMs float64   `json:"durationMs"`
 	Root       *SpanJSON `json:"root"`
 
-	// span is the live tree behind a ring record: Export stores the ended
-	// span as-is and defers the JSON projection to the first debug read,
-	// keeping the projection cost off the request hot path. nil for
-	// records decoded from another process's JSON, which carry Root.
-	span *Span
+	// tree is the span tree behind a ring record in its compact encoding
+	// (record.go), and spans its span count. Export encodes the ended tree
+	// once and the debug read path decodes it. nil for records decoded
+	// from another process's JSON, which carry Root.
+	tree  []byte
+	spans int
 }
 
-// materialize returns an independent copy with Root populated: projected
-// from the span tree (itself a fresh deep structure), or deep-cloned from
+// materialize returns an independent copy with Root populated: decoded
+// from the record (itself a fresh deep structure), or deep-cloned from
 // Root. Callers may graft remote subtrees into the result without
 // touching the ring's copy.
 func (e *ExportedTrace) materialize() *ExportedTrace {
 	out := *e
-	if e.span != nil {
-		out.Root = e.span.JSON()
-		out.span = nil
+	if e.tree != nil {
+		out.Root = decodeRecord(e.tree, e.TraceID)
+		out.tree, out.spans = nil, 0
 		return &out
 	}
 	out.Root = e.Root.Clone()
 	return &out
 }
 
-// spanCount walks whichever representation the record holds.
+// spanCount reads the record's stored count, or walks Root.
 func (e *ExportedTrace) spanCount() int {
-	n := 0
-	if e.span != nil {
-		e.span.Walk(func(int, *Span) { n++ })
-	} else if e.Root != nil {
-		e.Root.Walk(func(*SpanJSON) { n++ })
+	if e.tree != nil {
+		return e.spans
 	}
+	n := 0
+	e.Root.Walk(func(*SpanJSON) { n++ })
 	return n
 }
 
@@ -93,16 +93,21 @@ type TraceLookup struct {
 // Exporter retains completed span trees in a bounded in-memory ring and
 // serves them as JSON for debugging. Retention is head-sampling (1-in-N,
 // decided where the trace is born and propagated via traceparent flags)
-// plus always-retain for slow, degraded, or errored requests — so the
-// ring stays small under load but the pathological requests operators
-// care about are never sampled away.
+// plus always-retain for slow, degraded, or errored requests. When the
+// ring is full a new record evicts the oldest sampled record, and an
+// outlier (error, slow, degraded) only when no sampled record is left, so
+// a flood of sampled traffic never pushes out the pathological requests
+// operators care about.
 type Exporter struct {
 	sampleN int
 	slow    time.Duration
 
 	mu       sync.Mutex
-	ring     []*ExportedTrace // capacity-bounded; next points at the oldest slot
-	next     int
+	ring     []*ExportedTrace  // circular: n records from slot head, oldest first
+	head     int               // slot of the oldest record
+	n        int               // records held
+	sampled  int               // records held with reason sampled
+	bytes    int               // summed record sizes of the ring
 	seq      uint64            // head-sampling counter
 	reasons  map[string]uint64 // retained-by-reason counters
 	dropped  uint64
@@ -120,7 +125,7 @@ func NewExporter(ringSize, sampleN int, slow time.Duration) *Exporter {
 	return &Exporter{
 		sampleN: sampleN,
 		slow:    slow,
-		ring:    make([]*ExportedTrace, 0, ringSize),
+		ring:    make([]*ExportedTrace, ringSize),
 		reasons: make(map[string]uint64, 4),
 	}
 }
@@ -168,12 +173,14 @@ func (e *Exporter) Export(root *Span, sampled bool, status int) string {
 	case sampled:
 		reason = RetainSampled
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if reason == "" {
+		e.mu.Lock()
 		e.dropped++
+		e.mu.Unlock()
 		return ""
 	}
+	// The request is over, so the tree is immutable from here: encode it
+	// once, outside the lock, and let the live tree go.
 	rec := &ExportedTrace{
 		TraceID:    root.TraceID.String(),
 		Name:       root.Name,
@@ -181,19 +188,46 @@ func (e *Exporter) Export(root *Span, sampled bool, status int) string {
 		Status:     status,
 		Start:      root.Start,
 		DurationMs: float64(root.Dur) / float64(time.Millisecond),
-		// The request is over, so the tree is immutable from here: keep it
-		// live and project to JSON lazily on the (cold) debug read path.
-		span: root,
 	}
-	if len(e.ring) < cap(e.ring) {
-		e.ring = append(e.ring, rec)
-	} else {
-		e.ring[e.next] = rec
-		e.next = (e.next + 1) % cap(e.ring)
+	rec.tree, rec.spans = encodeRecord(root)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.n == len(e.ring) {
+		e.evict()
 	}
+	e.ring[e.slot(e.n)] = rec
+	e.n++
+	if reason == RetainSampled {
+		e.sampled++
+	}
+	e.bytes += len(rec.tree)
 	e.reasons[reason]++
 	e.exported++
 	return reason
+}
+
+// slot maps the i-th oldest record to its ring slot.
+func (e *Exporter) slot(i int) int { return (e.head + i) % len(e.ring) }
+
+// evict removes the oldest sampled record, or the oldest record when only
+// outliers are held. The outliers older than the victim each move one
+// slot newer, so the ring stays in export order; when the oldest record
+// is the victim, nothing moves. Caller holds e.mu.
+func (e *Exporter) evict() {
+	k := 0
+	if e.sampled > 0 {
+		for e.ring[e.slot(k)].Reason != RetainSampled {
+			k++
+		}
+		e.sampled--
+	}
+	e.bytes -= len(e.ring[e.slot(k)].tree)
+	for ; k > 0; k-- {
+		e.ring[e.slot(k)] = e.ring[e.slot(k-1)]
+	}
+	e.ring[e.head] = nil
+	e.head = e.slot(1)
+	e.n--
 }
 
 func isDegraded(root *Span) bool {
@@ -216,10 +250,10 @@ func (e *Exporter) List() TraceList {
 	out := TraceList{
 		Retained: e.exported,
 		Dropped:  e.dropped,
-		Traces:   make([]TraceSummary, 0, len(e.ring)),
+		Traces:   make([]TraceSummary, 0, e.n),
 	}
-	e.inOrder(func(rec *ExportedTrace) {
-		spans := rec.spanCount()
+	for i := e.n - 1; i >= 0; i-- {
+		rec := e.ring[e.slot(i)]
 		out.Traces = append(out.Traces, TraceSummary{
 			TraceID:    rec.TraceID,
 			Name:       rec.Name,
@@ -227,44 +261,32 @@ func (e *Exporter) List() TraceList {
 			Status:     rec.Status,
 			Start:      rec.Start,
 			DurationMs: rec.DurationMs,
-			Spans:      spans,
+			Spans:      rec.spanCount(),
 		})
-	})
-	// inOrder yields oldest first; the listing wants newest first.
-	for i, j := 0, len(out.Traces)-1; i < j; i, j = i+1, j-1 {
-		out.Traces[i], out.Traces[j] = out.Traces[j], out.Traces[i]
 	}
 	return out
 }
 
-// inOrder visits ring records oldest first. Caller holds e.mu.
-func (e *Exporter) inOrder(fn func(*ExportedTrace)) {
-	if len(e.ring) < cap(e.ring) {
-		for _, rec := range e.ring {
-			fn(rec)
-		}
-		return
-	}
-	for i := 0; i < len(e.ring); i++ {
-		fn(e.ring[(e.next+i)%len(e.ring)])
-	}
-}
-
 // Get returns deep copies of every retained record for the trace id,
 // oldest first (nil when unknown). Copies, so the caller may graft
-// remote subtrees into the result without racing the ring.
+// remote subtrees into the result without racing the ring. Records are
+// immutable once in the ring, so they are decoded after the lock is
+// released.
 func (e *Exporter) Get(id string) []*ExportedTrace {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []*ExportedTrace
-	e.inOrder(func(rec *ExportedTrace) {
-		if rec.TraceID == id {
-			out = append(out, rec.materialize())
+	e.mu.Lock()
+	for i := 0; i < e.n; i++ {
+		if rec := e.ring[e.slot(i)]; rec.TraceID == id {
+			out = append(out, rec)
 		}
-	})
+	}
+	e.mu.Unlock()
+	for i, rec := range out {
+		out[i] = rec.materialize()
+	}
 	return out
 }
 
@@ -304,6 +326,12 @@ func (e *Exporter) WriteProm(w io.Writer, prefix string) {
 	fmt.Fprintf(w, "# HELP %s_traces_dropped_total Completed traces dropped by head sampling.\n", prefix)
 	fmt.Fprintf(w, "# TYPE %s_traces_dropped_total counter\n", prefix)
 	fmt.Fprintf(w, "%s_traces_dropped_total %d\n", prefix, dropped)
+	e.mu.Lock()
+	held := e.bytes
+	e.mu.Unlock()
+	fmt.Fprintf(w, "# HELP %s_traces_retained_bytes Encoded size of the span records held by the debug trace ring.\n", prefix)
+	fmt.Fprintf(w, "# TYPE %s_traces_retained_bytes gauge\n", prefix)
+	fmt.Fprintf(w, "%s_traces_retained_bytes %d\n", prefix, held)
 }
 
 // ServeList handles GET /debug/traces.

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +119,109 @@ func TestExporterRingBound(t *testing.T) {
 	}
 }
 
+// TestExporterOutliersOutliveSampledFlood: a full ring evicts its oldest
+// sampled record first, so an errored request survives any amount of
+// sampled traffic; outliers evict each other, oldest first, only once no
+// sampled record is left.
+func TestExporterOutliersOutliveSampledFlood(t *testing.T) {
+	e := NewExporter(8, 1, 0)
+	export := func(status int) string {
+		sp := endedSpan("req", time.Millisecond)
+		e.Export(sp, true, status)
+		return sp.TraceID.String()
+	}
+	first := export(500)
+	var sampled []string
+	for i := 0; i < 100; i++ {
+		sampled = append(sampled, export(200))
+	}
+	list := e.List()
+	if len(list.Traces) != 8 || len(e.Get(first)) != 1 {
+		t.Fatalf("after 100 sampled exports: %d traces, error retained=%v", len(list.Traces), len(e.Get(first)) == 1)
+	}
+	// Newest first: the seven newest sampled traces, then the error.
+	for i, tr := range list.Traces[:7] {
+		if want := sampled[99-i]; tr.TraceID != want {
+			t.Fatalf("slot %d: %s, want %s", i, tr.TraceID, want)
+		}
+	}
+	if last := list.Traces[7]; last.TraceID != first || last.Reason != RetainError {
+		t.Fatalf("oldest slot: %+v", last)
+	}
+
+	errs := []string{first}
+	for i := 0; i < 7; i++ {
+		errs = append(errs, export(500))
+	}
+	for _, id := range errs {
+		if len(e.Get(id)) != 1 {
+			t.Fatalf("error %s evicted while sampled records were left", id)
+		}
+	}
+	ninth := export(503)
+	if len(e.Get(first)) != 0 || len(e.Get(ninth)) != 1 {
+		t.Fatal("a ninth error must evict the oldest error")
+	}
+	list = e.List()
+	if len(list.Traces) != 8 || list.Traces[0].TraceID != ninth || list.Traces[7].TraceID != errs[1] {
+		t.Fatalf("after the ninth error: %+v", list.Traces)
+	}
+}
+
+// TestExporterEvictionMatchesModel checks the circular ring against the
+// rule stated plainly on a slice: on overflow, drop the oldest sampled
+// record, or the oldest record when none is sampled.
+func TestExporterEvictionMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := 0; round < 200; round++ {
+		size := 1 + rng.IntN(9)
+		e := NewExporter(size, 1, 0)
+		var model []TraceSummary // oldest first
+		for i := rng.IntN(60); i > 0; i-- {
+			status := 200
+			if rng.IntN(3) == 0 {
+				status = 500
+			}
+			sp := endedSpan("req", time.Millisecond)
+			reason := e.Export(sp, true, status)
+			if len(model) == size {
+				victim := 0
+				for j, tr := range model {
+					if tr.Reason == RetainSampled {
+						victim = j
+						break
+					}
+				}
+				model = append(model[:victim], model[victim+1:]...)
+			}
+			model = append(model, TraceSummary{TraceID: sp.TraceID.String(), Reason: reason})
+		}
+		got := e.List().Traces
+		if len(got) != len(model) {
+			t.Fatalf("round %d: ring holds %d, model %d", round, len(got), len(model))
+		}
+		bytes, sampled := 0, 0
+		for _, rec := range e.ring {
+			if rec != nil {
+				bytes += len(rec.tree)
+				if rec.Reason == RetainSampled {
+					sampled++
+				}
+			}
+		}
+		if bytes != e.bytes || sampled != e.sampled {
+			t.Fatalf("round %d: ring holds %d B and %d sampled, exporter counts %d B and %d", round, bytes, sampled, e.bytes, e.sampled)
+		}
+		for i, tr := range got {
+			want := model[len(model)-1-i]
+			if tr.TraceID != want.TraceID || tr.Reason != want.Reason {
+				t.Fatalf("round %d (size %d): listing slot %d is %s/%s, model %s/%s",
+					round, size, i, tr.TraceID, tr.Reason, want.TraceID, want.Reason)
+			}
+		}
+	}
+}
+
 func TestExporterGetReturnsClones(t *testing.T) {
 	e := NewExporter(4, 1, 0)
 	sp := NewTracer().Start("req")
@@ -210,10 +315,20 @@ func TestExporterHTTP(t *testing.T) {
 }
 
 func TestExporterWriteProm(t *testing.T) {
-	e := NewExporter(4, 1, 0)
+	e := NewExporter(2, 1, 0)
 	e.Export(endedSpan("a", time.Millisecond), true, 200)
 	e.Export(endedSpan("b", time.Millisecond), false, 500)
 	e.Export(endedSpan("c", time.Millisecond), false, 200)
+	// The retained-bytes gauge sums the records the ring holds now.
+	held := func() int {
+		n := 0
+		for _, rec := range e.ring {
+			if rec != nil {
+				n += len(rec.tree)
+			}
+		}
+		return n
+	}
 	var b strings.Builder
 	e.WriteProm(&b, "siwa")
 	out := b.String()
@@ -223,10 +338,23 @@ func TestExporterWriteProm(t *testing.T) {
 		`siwa_traces_retained_total{reason="slow"} 0`,
 		`siwa_traces_retained_total{reason="degraded"} 0`,
 		`siwa_traces_dropped_total 1`,
+		"# TYPE siwa_traces_retained_bytes gauge\n",
+		fmt.Sprintf("siwa_traces_retained_bytes %d\n", held()),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)
 		}
+	}
+	if held() == 0 {
+		t.Fatal("retained records have no size")
+	}
+	// An eviction takes its record's bytes off the gauge.
+	big := endedSpan(strings.Repeat("d", 1000), time.Millisecond)
+	e.Export(big, true, 200)
+	b.Reset()
+	e.WriteProm(&b, "siwa")
+	if want := fmt.Sprintf("siwa_traces_retained_bytes %d\n", held()); !strings.Contains(b.String(), want) || held() < 1000 {
+		t.Fatalf("after an eviction, prom output missing %q:\n%s", want, b.String())
 	}
 }
 

@@ -398,6 +398,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"unknown algorithm", `{"source":"x","options":{"algorithm":"nope"}}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"parse failure", `{"source":"task t is begin oops end;"}`, http.StatusUnprocessableEntity, CodeParseError},
 		{"oversized body", fmt.Sprintf(`{"source":%q}`, strings.Repeat("x", 4096)), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"data after the value", `{"source":"task a is begin end;"} trailing`, http.StatusBadRequest, CodeInvalidRequest},
+		{"oversized after the value", `{"source":"task a is begin end;"}` + strings.Repeat(" ", 4096), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"resource limit", fmt.Sprintf(`{"source":%q}`, workload.NestedLoops(20, 2).String()), http.StatusUnprocessableEntity, CodeResourceLimit},
 	}
 	for _, c := range cases {

@@ -137,9 +137,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code string, form
 // limit, reporting (status, code, error) on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, string, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeJSON(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return http.StatusRequestEntityTooLarge, CodeTooLarge,

@@ -16,6 +16,7 @@ import (
 var dynamicFamilies = map[string]bool{
 	"siwa_traces_retained_total":     true,
 	"siwa_traces_dropped_total":      true,
+	"siwa_traces_retained_bytes":     true,
 	"siwa_go_goroutines":             true,
 	"siwa_go_heap_inuse_bytes":       true,
 	"siwa_go_gc_pause_seconds_total": true,

@@ -83,6 +83,7 @@ func TestMetricsExposition(t *testing.T) {
 		// Trace-exporter and Go-runtime telemetry families.
 		"siwa_traces_retained_total":     "counter",
 		"siwa_traces_dropped_total":      "counter",
+		"siwa_traces_retained_bytes":     "gauge",
 		"siwa_go_goroutines":             "gauge",
 		"siwa_go_heap_inuse_bytes":       "gauge",
 		"siwa_go_gc_pause_seconds_total": "counter",

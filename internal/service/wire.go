@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -25,6 +27,26 @@ import (
 // for the value, plus the newline json.Encoder adds.
 type jsonAppender interface {
 	AppendJSON(dst []byte) []byte
+}
+
+// DecodeJSON decodes a request body into v: exactly one JSON value, no
+// field v does not declare, and nothing but whitespace after the value.
+// Both tiers decode request bodies through it, so a body one tier
+// rejects the other rejects too.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return err
+	}
 }
 
 // wireBuf is a pooled response buffer; Write lets json.Encoder fill it.
