@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exact := fs.Bool("exact", false, "also run the exact wave explorer")
 	trace := fs.Bool("trace", false, "print the pipeline span tree (per-stage durations and work counters)")
 	anomalyTrace := fs.Bool("anomaly-trace", false, "with the exact explorer, print rendezvous traces to each anomaly (implies -exact)")
-	maxStates := fs.Int("max-states", 1<<20, "state cap for -exact")
+	maxStates := fs.Int("max-states", waves.DefaultMaxStates, "state cap for -exact")
 	limitsSpec := fs.String("limits", "", "resource caps: tasks=N,nodes=N,unrolled=N, or default (unbounded when omitted)")
 	parallelism := fs.Int("parallelism", 0, "worker count for detector hypothesis sweeps (0 = GOMAXPROCS, 1 = serial)")
 	degrade := fs.Bool("degrade", false, "degrade to the polynomial verdicts when the exact explorer is cut short")
@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			case "clg":
 				fmt.Fprint(stdout, clg.Build(rep.Graph).DOT())
 			case "waves":
-				eg, err := waves.ExploreProgramGraph(prog)
+				eg, err := waves.ExploreProgramGraph(prog, 0)
 				if err != nil {
 					fmt.Fprintf(stderr, "siwad: %s: %v\n", path, err)
 					return 2

@@ -1,6 +1,8 @@
 package siwa
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +13,10 @@ import (
 // second while still covering every pipeline stage.
 var fuzzLimits = Limits{MaxTasks: 32, MaxNodes: 256, MaxUnrolledNodes: 1024}
 
+// fuzzCache is shared by every fuzzed input, so lookups and evictions
+// interleave across unrelated sources.
+var fuzzCache = NewStageCache(1 << 20)
+
 // FuzzAnalyzeNaive drives the whole pipeline (parse, validate, limits,
 // unroll, sync graph, CLG, naive + refined detectors, stall) on arbitrary
 // input and asserts the robustness contract:
@@ -20,10 +26,12 @@ var fuzzLimits = Limits{MaxTasks: 32, MaxNodes: 256, MaxUnrolledNodes: 1024}
 //   - the detector spectrum stays monotone: the refined detector only
 //     removes false alarms, so refined "may deadlock" implies naive "may
 //     deadlock" (Theorem: each refinement is at least as precise while
-//     remaining conservative).
+//     remaining conservative);
+//   - a run of the source through the shared fuzzCache renders the same
+//     JSON bytes as the uncached run.
 //
-// Seeds are the checked-in example corpus, so fuzzing starts from real
-// programs exercising every construct.
+// Seeds are the checked-in example corpus (procedures included), so
+// fuzzing starts from real programs exercising every construct.
 func FuzzAnalyzeNaive(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.ada"))
 	if err != nil || len(paths) == 0 {
@@ -50,6 +58,17 @@ func FuzzAnalyzeNaive(f *testing.F) {
 			// behaviour on hostile input; contained panics are bugs.
 			failOnInternal(t, err)
 			return
+		}
+		cached, err := AnalyzeSource(src, Options{Algorithm: AlgoNaive, Limits: fuzzLimits, StageCache: fuzzCache})
+		if err != nil {
+			t.Fatalf("cached run failed where the uncached one succeeded: %v", err)
+		}
+		want, err := json.Marshal(naive.JSONReport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(cached.JSONReport()); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cached report diverged (err=%v)\ncached:   %s\nuncached: %s\n%s", err, got, want, src)
 		}
 		refined, err := Analyze(p, Options{Algorithm: AlgoRefined, Limits: fuzzLimits})
 		if err != nil {

@@ -52,7 +52,10 @@ var goldenFamilies = []struct {
 // goldenFamilies, under every algorithm, under AllAlgorithms with
 // Enumerate and Constraint4, and with the FIFO refinement on the
 // loop-free ones, and compares the digest of the JSON bytes against
-// goldenReportDigest.
+// goldenReportDigest. The committed digest is the reference for every
+// path through the pipeline: the corpus is rendered without a stage
+// cache, then through one shared cache cold, then again warm, and each
+// pass must hash to the same bytes.
 func TestVerdictBytesGolden(t *testing.T) {
 	const perFamily = 24
 	var runs []Options
@@ -62,32 +65,42 @@ func TestVerdictBytesGolden(t *testing.T) {
 	runs = append(runs, Options{Algorithm: AlgoRefined, AllAlgorithms: true, Enumerate: true, Constraint4: true})
 	fifo := Options{Algorithm: AlgoRefinedPairs, FIFO: true}
 
-	h := sha256.New()
-	reports := 0
-	for fi, fam := range goldenFamilies {
-		rng := rand.New(rand.NewSource(int64(500 + fi)))
-		for i := 0; i < perFamily; i++ {
-			p := fam.gen(rng)
-			src := p.String()
-			opts := runs
-			if !cfg.HasLoops(p) {
-				opts = append(opts[:len(opts):len(opts)], fifo)
-			}
-			for _, opt := range opts {
-				rep, err := AnalyzeSource(src, opt)
-				if err != nil {
-					t.Fatalf("%s #%d: %v", fam.name, i, err)
+	mc := NewStageCache(64 << 20)
+	for _, pass := range []struct {
+		name  string
+		cache *StageCache
+	}{{"uncached", nil}, {"cold", mc}, {"warm", mc}} {
+		h := sha256.New()
+		reports := 0
+		for fi, fam := range goldenFamilies {
+			rng := rand.New(rand.NewSource(int64(500 + fi)))
+			for i := 0; i < perFamily; i++ {
+				p := fam.gen(rng)
+				src := p.String()
+				opts := runs
+				if !cfg.HasLoops(p) {
+					opts = append(opts[:len(opts):len(opts)], fifo)
 				}
-				b, err := json.Marshal(rep.JSONReport())
-				if err != nil {
-					t.Fatal(err)
+				for _, opt := range opts {
+					opt.StageCache = pass.cache
+					rep, err := AnalyzeSource(src, opt)
+					if err != nil {
+						t.Fatalf("%s: %s #%d: %v", pass.name, fam.name, i, err)
+					}
+					b, err := json.Marshal(rep.JSONReport())
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.Write(b)
+					reports++
 				}
-				h.Write(b)
-				reports++
 			}
 		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenReportDigest {
+			t.Fatalf("%s: digest of %d reports = %s, want %s", pass.name, reports, got, goldenReportDigest)
+		}
 	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenReportDigest {
-		t.Fatalf("digest of %d reports = %s, want %s", reports, got, goldenReportDigest)
+	if st := mc.Stats(); st.Evictions != 0 {
+		t.Fatalf("the warm pass was not fully warm: %+v", st)
 	}
 }

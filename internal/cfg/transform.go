@@ -215,14 +215,18 @@ func UnrollBounded(p *lang.Program, maxRendezvous int) (*lang.Program, error) {
 	return Unroll(p), nil
 }
 
+// DefaultExpansionLimit is ExpandBounded's per-loop copy limit when none
+// is given.
+const DefaultExpansionLimit = 64
+
 // ExpandBounded fully expands every "loop n times" into n sequential copies
 // of its body (innermost first), leaving while-loops untouched. The exact
 // wave explorer uses this so that bounded iteration counts are honored
 // precisely. Expansion is refused above limit total copies per loop to
-// bound blowup; limit <= 0 means 64.
+// bound blowup; limit <= 0 means DefaultExpansionLimit.
 func ExpandBounded(p *lang.Program, limit int) (*lang.Program, error) {
 	if limit <= 0 {
-		limit = 64
+		limit = DefaultExpansionLimit
 	}
 	q := p.Clone()
 	for _, t := range q.Tasks {

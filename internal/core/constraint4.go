@@ -35,10 +35,14 @@ type CycleInfo struct {
 	Tails []int
 }
 
+// DefaultEnumerateLimit is the cycle budget a limit of 0 (or less) means
+// to EnumerateCycles, Enumerate and Constraint4Certify.
+const DefaultEnumerateLimit = 4096
+
 // EnumerateCycles lists the simple cycles of the CLG, mapped to sync-graph
-// node ids, up to limit cycles (0 means 4096). The boolean result reports
-// whether enumeration was exhaustive; when false, certification by
-// constraint 4 must be declined.
+// node ids, up to limit cycles (0 means DefaultEnumerateLimit). The
+// boolean result reports whether enumeration was exhaustive; when false,
+// certification by constraint 4 must be declined.
 func (a *Analyzer) EnumerateCycles(limit int) ([]CycleInfo, bool) {
 	return a.EnumerateCyclesRestricted(limit, nil)
 }
@@ -50,7 +54,7 @@ func (a *Analyzer) EnumerateCycles(limit int) ([]CycleInfo, bool) {
 // in the gadget involve only the sync edges between literal tasks.
 func (a *Analyzer) EnumerateCyclesRestricted(limit int, allowed func(sgNode int) bool) ([]CycleInfo, bool) {
 	if limit <= 0 {
-		limit = 4096
+		limit = DefaultEnumerateLimit
 	}
 	c := a.CLG
 	g := c.G

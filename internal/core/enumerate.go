@@ -20,8 +20,8 @@ type EnumerationVerdict struct {
 }
 
 // Enumerate runs the most precise detector in the suite: it enumerates
-// every simple CLG cycle (up to limit; 0 = 4096) and keeps only cycles
-// that could derive from a stuck execution wave:
+// every simple CLG cycle (up to limit; 0 = DefaultEnumerateLimit) and
+// keeps only cycles that could derive from a stuck execution wave:
 //
 //   - the cycle enters each task at most once (constraint 1c — a wave
 //     holds one node per task, so a wave-derived cycle's pass through a

@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	siwa "repro"
+	"repro/internal/cfg"
+	"repro/internal/core"
 	"repro/internal/waves"
 )
 
@@ -21,7 +23,8 @@ func (k CacheKey) String() string { return fmt.Sprintf("%x", k[:8]) }
 
 // Key computes the content address of (source, options). Options are
 // canonicalized first — zero-value limits are replaced by the defaults the
-// pipeline would apply — so e.g. EnumerateLimit 0 and 4096 share an entry.
+// pipeline would apply — so e.g. EnumerateLimit 0 and
+// core.DefaultEnumerateLimit share an entry.
 // The hashed bytes are the header "siwa-report-v<schema>\x00algo=<n>;
 // all=<bool>;...;loopLimit=<n>\x00" followed by the source, rendered into
 // a pooled buffer, so a key costs no allocation once the pool is warm.
@@ -56,16 +59,16 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // tree — traces are recorded per-run and echoed outside the report.
 func canonicalize(opt siwa.Options) siwa.Options {
 	if opt.EnumerateLimit == 0 {
-		opt.EnumerateLimit = 4096
+		opt.EnumerateLimit = core.DefaultEnumerateLimit
 	}
 	if opt.ExactOptions.MaxStates == 0 {
-		opt.ExactOptions.MaxStates = 1 << 20
+		opt.ExactOptions.MaxStates = waves.DefaultMaxStates
 	}
 	if opt.ExactOptions.MaxAnomalies == 0 {
-		opt.ExactOptions.MaxAnomalies = 64
+		opt.ExactOptions.MaxAnomalies = waves.DefaultMaxAnomalies
 	}
 	if opt.ExactOptions.LoopExpansionLimit == 0 {
-		opt.ExactOptions.LoopExpansionLimit = 64
+		opt.ExactOptions.LoopExpansionLimit = cfg.DefaultExpansionLimit
 	}
 	opt.ExactOptions = waves.Options{
 		MaxStates:          opt.ExactOptions.MaxStates,

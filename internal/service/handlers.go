@@ -30,7 +30,7 @@ type WireOptions struct {
 	EnumerateLimit int    `json:"enumerateLimit,omitempty"`
 	FIFO           bool   `json:"fifo,omitempty"`
 	Exact          bool   `json:"exact,omitempty"`
-	// MaxStates caps the exact explorer's state count (0 = 1<<20).
+	// MaxStates caps the exact explorer's state count (0 = waves.DefaultMaxStates).
 	MaxStates int `json:"maxStates,omitempty"`
 	// Degrade asks for graceful degradation: when an exact or enumeration
 	// stage hits its deadline or budget, the response is still HTTP 200

@@ -99,7 +99,8 @@ func TestStageCacheWarmTraceSpans(t *testing.T) {
 }
 
 // TestStageCacheDisabled pins the opt-out: with a negative MiB budget the
-// server analyzes through the plain pipeline and the stats stay zero.
+// server analyzes without a stage cache, building every stage group, and
+// the stats stay zero.
 func TestStageCacheDisabled(t *testing.T) {
 	s, ts := newTestServer(t, Config{StageCacheMB: -1})
 	code, ar, _ := analyze(t, ts.URL, AnalyzeRequest{

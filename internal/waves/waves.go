@@ -29,15 +29,24 @@ import (
 	"repro/internal/sg"
 )
 
+// The explorer's budgets when Options leaves them 0.
+const (
+	DefaultMaxStates    = 1 << 20
+	DefaultMaxAnomalies = 64
+)
+
 // Options tunes the exploration.
 type Options struct {
-	// MaxStates caps the number of distinct waves explored; 0 means 1<<20.
-	// When exceeded, Result.Truncated is set and results are partial.
+	// MaxStates caps the number of distinct waves explored; 0 means
+	// DefaultMaxStates. When exceeded, Result.Truncated is set and results
+	// are partial.
 	MaxStates int
-	// MaxAnomalies caps recorded anomalous waves; 0 means 64. Counting
-	// continues past the cap, recording stops.
+	// MaxAnomalies caps recorded anomalous waves; 0 means
+	// DefaultMaxAnomalies. Counting continues past the cap, recording
+	// stops.
 	MaxAnomalies int
-	// LoopExpansionLimit is passed to cfg.ExpandBounded; 0 means 64.
+	// LoopExpansionLimit is passed to cfg.ExpandBounded; 0 means
+	// cfg.DefaultExpansionLimit.
 	LoopExpansionLimit int
 	// Traces records, for each reported anomaly, the sequence of
 	// rendezvous leading from the initial wave to the anomalous one
@@ -105,10 +114,10 @@ func (r *Result) HasAnomaly() bool { return r.AnomalousWaves > 0 }
 // the state space is still finite because waves range over node vectors.
 func Explore(g *sg.Graph, opt Options) *Result {
 	if opt.MaxStates == 0 {
-		opt.MaxStates = 1 << 20
+		opt.MaxStates = DefaultMaxStates
 	}
 	if opt.MaxAnomalies == 0 {
-		opt.MaxAnomalies = 64
+		opt.MaxAnomalies = DefaultMaxAnomalies
 	}
 	e := &explorer{g: g, opt: opt, res: &Result{}, seen: map[string]bool{}}
 	if opt.Traces {
@@ -133,7 +142,7 @@ func Explore(g *sg.Graph, opt Options) *Result {
 // to the *expanded* program's sync graph; obtain it with
 // ExploreProgramGraph to interpret them.
 func ExploreProgram(p *lang.Program, opt Options) (*Result, error) {
-	g, err := exploreGraph(p, opt.LoopExpansionLimit)
+	g, err := ExploreProgramGraph(p, opt.LoopExpansionLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +150,9 @@ func ExploreProgram(p *lang.Program, opt Options) (*Result, error) {
 }
 
 // ExploreProgramGraph returns the sync graph ExploreProgram analyzes for
-// p: the graph of the bounded-loop-expanded program.
-func ExploreProgramGraph(p *lang.Program) (*sg.Graph, error) {
-	return exploreGraph(p, 0)
-}
-
-func exploreGraph(p *lang.Program, loopLimit int) (*sg.Graph, error) {
+// p under Options.LoopExpansionLimit loopLimit: the graph of the
+// bounded-loop-expanded program.
+func ExploreProgramGraph(p *lang.Program, loopLimit int) (*sg.Graph, error) {
 	if len(p.Procs) > 0 || p.HasCalls() {
 		p = p.InlineCalls()
 	}

@@ -386,7 +386,7 @@ begin
   y: accept m;
   z: t1.r;
 end;
-`))
+`), 0)
 			for _, r := range a.Trace {
 				if !g.HasSyncEdge(r.U, r.V) {
 					t.Fatalf("trace step %v is not a sync pair", r)

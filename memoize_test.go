@@ -1,22 +1,28 @@
 package siwa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/workload"
 )
 
-// TestStageCacheMatchesUncached is the stage cache's ground-truth gate:
-// across 200 random programs, the memoized pipeline must produce byte-for-
-// byte the same report as the plain one — cold through a fresh cache, and
-// again fully warm — for the complete detector spectrum, the constraint-4
-// certifier, the enumeration detector, and the stall analysis. One cache
-// is shared across all programs so admission and lookup interleave the way
-// they do in the service.
+// TestStageCacheMatchesUncached checks that across 200 random programs a
+// run through the stage cache produces byte-for-byte the same report as a
+// run without one — cold through a fresh cache, and again fully warm — for
+// the complete detector spectrum, the constraint-4 certifier, the
+// enumeration detector, and the stall analysis. Both runs go through the
+// one pipeline, so the independent reference is the committed digest of
+// TestVerdictBytesGolden. One cache is shared across all programs so
+// admission and lookup interleave the way they do in the service.
 func TestStageCacheMatchesUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mc := NewStageCache(64 << 20)
@@ -34,7 +40,7 @@ func TestStageCacheMatchesUncached(t *testing.T) {
 			FIFO:          i%2 == 1,
 		}
 
-		ref, err := AnalyzeSource(src, opt) // nil StageCache: plain pipeline
+		ref, err := AnalyzeSource(src, opt) // nil StageCache: every group built
 		if err != nil {
 			t.Fatalf("program %d: uncached analyze failed: %v", i, err)
 		}
@@ -192,6 +198,104 @@ func TestStageCacheTinyBudgetEviction(t *testing.T) {
 	}
 	if st := mc.Stats(); st.Bytes > 2048 {
 		t.Fatalf("byte budget exceeded: %+v", st)
+	}
+}
+
+// TestStageCacheFollowerRetriesLeaderLimits: limits are not part of any
+// key, so a request that joins another caller's flight must not inherit
+// that caller's limit refusal. The leader is a bare flight on the src:
+// key that fails with a *ResourceError once a limitless AnalyzeSource has
+// joined it (the second miss); the follower must build for itself.
+func TestStageCacheFollowerRetriesLeaderLimits(t *testing.T) {
+	src := traceTestProgram
+	mc := NewStageCache(1 << 20)
+	release := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := mc.Do("src:"+memo.SourceDigest(src).Key(), func() (memo.Entry, error) {
+			<-release
+			return nil, &ResourceError{Resource: "unrolled rendezvous nodes", Limit: 1, Actual: 99}
+		})
+		leader <- err
+	}()
+	for mc.Stats().Misses < 1 {
+		runtime.Gosched()
+	}
+	type result struct {
+		rep *Report
+		err error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		rep, err := AnalyzeSource(src, Options{StageCache: mc})
+		follower <- result{rep, err}
+	}()
+	for mc.Stats().Misses < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-leader; err == nil {
+		t.Fatal("leader flight did not fail")
+	}
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower inherited the leader's refusal: %v", got.err)
+	}
+	ref, err := AnalyzeSource(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.rep.JSONReport(), ref.JSONReport()) {
+		t.Fatal("follower's report differs from an uncached run")
+	}
+}
+
+// TestEntryPointsRunSameStages pins one stage sequence for every entry
+// point: uncached AnalyzeSource records the same depth-1 spans as a cold
+// run through a fresh stage cache, and AnalyzeContext on the parsed
+// program records the same list without the leading "parse".
+func TestEntryPointsRunSameStages(t *testing.T) {
+	programs := []struct {
+		file string
+		fifo bool
+	}{
+		{"procedures.ada", false},
+		{"loop_pipeline.ada", false},
+		{"deadlock.ada", true}, // loop-free, so the FIFO stage runs
+	}
+	names := func(rep *Report, err error) []string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range rep.Trace.Children {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	for _, prog := range programs {
+		data, err := os.ReadFile(filepath.Join("testdata", prog.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(data)
+		for _, opt := range []Options{
+			{AllAlgorithms: true, Constraint4: true, Enumerate: true},
+			{Exact: true},
+		} {
+			opt.FIFO, opt.Trace = prog.fifo, true
+			uncached := names(AnalyzeSource(src, opt))
+			parsed := names(AnalyzeContext(context.Background(), MustParse(src), opt))
+			opt.StageCache = NewStageCache(1 << 20)
+			cold := names(AnalyzeSource(src, opt))
+			if !reflect.DeepEqual(uncached, cold) {
+				t.Errorf("%s: uncached stages %v, cold cached %v", prog.file, uncached, cold)
+			}
+			if len(uncached) == 0 || uncached[0] != "parse" || !reflect.DeepEqual(parsed, uncached[1:]) {
+				t.Errorf("%s: AnalyzeSource stages %v, AnalyzeContext %v", prog.file, uncached, parsed)
+			}
+		}
 	}
 }
 

@@ -61,6 +61,57 @@ task b is begin accept m; end;
 	}
 }
 
+// TestLimitsAgreeAcrossPaths requires every entry point to refuse the
+// same programs on the same limit: Analyze, AnalyzeSource without a
+// stage cache, through a cold cache, and through a cache warmed by a
+// limitless run (so the refusal comes from the recheck on a hit). A
+// loop-free program is never unrolled, so MaxUnrolledNodes does not
+// apply to it.
+func TestLimitsAgreeAcrossPaths(t *testing.T) {
+	const loopFree = "task a is begin b.m; end; task b is begin accept m; end;"
+	const loops = "task a is begin loop 3 times b.m; end loop; end; " +
+		"task b is begin loop 3 times accept m; end loop; end;"
+	for _, tc := range []struct {
+		src  string
+		lim  Limits
+		want string // the refused resource; "" accepts
+	}{
+		{loopFree, Limits{MaxTasks: 1}, "tasks"},
+		{loopFree, Limits{MaxNodes: 1}, "rendezvous nodes"},
+		{loopFree, Limits{MaxUnrolledNodes: 1}, ""},
+		{loops, Limits{MaxUnrolledNodes: 3}, "unrolled rendezvous nodes"},
+		{loops, Limits{MaxUnrolledNodes: 4}, ""},
+	} {
+		warm := NewStageCache(1 << 20)
+		if _, err := AnalyzeSource(tc.src, Options{StageCache: warm}); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []struct {
+			name string
+			run  func() (*Report, error)
+		}{
+			{"Analyze", func() (*Report, error) { return Analyze(MustParse(tc.src), Options{Limits: tc.lim}) }},
+			{"uncached", func() (*Report, error) { return AnalyzeSource(tc.src, Options{Limits: tc.lim}) }},
+			{"cold", func() (*Report, error) {
+				return AnalyzeSource(tc.src, Options{Limits: tc.lim, StageCache: NewStageCache(1 << 20)})
+			}},
+			{"warm", func() (*Report, error) { return AnalyzeSource(tc.src, Options{Limits: tc.lim, StageCache: warm}) }},
+		} {
+			_, err := path.run()
+			got := ""
+			var re *ResourceError
+			if errors.As(err, &re) {
+				got = re.Resource
+			} else if err != nil {
+				t.Fatalf("%s under %v: %v", path.name, tc.lim, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s under %v: refused %q, want %q", path.name, tc.lim, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestStagePanicContained injects a panic into a mid-pipeline stage and
 // requires a typed *InternalError naming the stage, with the stack from
 // the panic site — never a crash, never a silent success.

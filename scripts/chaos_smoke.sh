@@ -23,11 +23,25 @@ echo "== build"
 go build -o "$BIN/siwad-server" ./cmd/siwad-server
 go build -o "$BIN/siwad-gateway" ./cmd/siwad-gateway
 
-echo "== boot 2 replicas + gateway (wire to replica 1 browned out 800ms)"
+wait_ready() {
+	for _ in $(seq 1 100); do
+		if curl -sf "http://127.0.0.1:$1/readyz" >/dev/null 2>&1; then return 0; fi
+		sleep 0.1
+	done
+	echo "FAIL: port $1 never became ready" >&2
+	exit 1
+}
+
+# The gateway probes its backends at boot and keeps a replica that is not
+# yet listening down until the next health interval, so it starts only
+# once both replicas are ready.
+echo "== boot 2 replicas, then the gateway (wire to replica 1 browned out 800ms)"
 "$BIN/siwad-server" -addr "127.0.0.1:$R1" -log off &
 PIDS+=($!)
 "$BIN/siwad-server" -addr "127.0.0.1:$R2" -log off &
 PIDS+=($!)
+wait_ready "$R1"
+wait_ready "$R2"
 # The host-qualified latency point stalls only bytes toward replica 1;
 # the SIWA_FAULTS spec splits on ":", so the host:port is spelled with
 # "-" (fault.HostKey). The retry burst is sized so that even if all 12
@@ -40,16 +54,6 @@ SIWA_FAULTS="gateway.net.latency@127.0.0.1-$R1:delay=800ms" \
 	-hedge-after 95 -retry-budget 0.1 -retry-burst 40 &
 PIDS+=($!)
 
-wait_ready() {
-	for _ in $(seq 1 100); do
-		if curl -sf "http://127.0.0.1:$1/readyz" >/dev/null 2>&1; then return 0; fi
-		sleep 0.1
-	done
-	echo "FAIL: port $1 never became ready" >&2
-	exit 1
-}
-wait_ready "$R1"
-wait_ready "$R2"
 wait_ready "$GW"
 
 echo "== analyzes through the gateway under a 2s deadline budget"

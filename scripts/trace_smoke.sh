@@ -21,15 +21,6 @@ echo "== build"
 go build -o "$BIN/siwad-server" ./cmd/siwad-server
 go build -o "$BIN/siwad-gateway" ./cmd/siwad-gateway
 
-echo "== boot 2 replicas + gateway"
-"$BIN/siwad-server" -addr "127.0.0.1:$R1" -log off &
-PIDS+=($!)
-"$BIN/siwad-server" -addr "127.0.0.1:$R2" -log off &
-PIDS+=($!)
-"$BIN/siwad-gateway" -addr "127.0.0.1:$GW" -log off \
-	-backends "http://127.0.0.1:$R1,http://127.0.0.1:$R2" &
-PIDS+=($!)
-
 wait_ready() {
 	for _ in $(seq 1 100); do
 		if curl -sf "http://127.0.0.1:$1/readyz" >/dev/null 2>&1; then return 0; fi
@@ -38,8 +29,21 @@ wait_ready() {
 	echo "FAIL: port $1 never became ready" >&2
 	exit 1
 }
+
+# The gateway probes its backends at boot and keeps a replica that is not
+# yet listening down until the next health interval, so it starts only
+# once both replicas are ready.
+echo "== boot 2 replicas, then the gateway"
+"$BIN/siwad-server" -addr "127.0.0.1:$R1" -log off &
+PIDS+=($!)
+"$BIN/siwad-server" -addr "127.0.0.1:$R2" -log off &
+PIDS+=($!)
 wait_ready "$R1"
 wait_ready "$R2"
+"$BIN/siwad-gateway" -addr "127.0.0.1:$GW" -log off \
+	-backends "http://127.0.0.1:$R1,http://127.0.0.1:$R2" &
+PIDS+=($!)
+
 wait_ready "$GW"
 
 echo "== one analyze through the gateway"

@@ -35,7 +35,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lang"
 	"repro/internal/obs"
-	"repro/internal/order"
 	"repro/internal/sg"
 	"repro/internal/stall"
 	"repro/internal/waves"
@@ -246,226 +245,8 @@ func Analyze(p *Program, opt Options) (*Report, error) {
 // Options.Degrade converts deadline/budget exhaustion in the Enumerate and
 // Exact stages into a degraded-but-sound report (see Options.Degrade).
 func AnalyzeContext(ctx context.Context, p *Program, opt Options) (*Report, error) {
-	tr := opt.Tracer
-	if tr == nil && opt.Trace {
-		tr = obs.NewTracer()
-	}
-	root := tr.Start("analyze") // nil span when tracing is off
-	defer root.End()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkLimit("tasks", opt.Limits.MaxTasks, len(p.Tasks)); err != nil {
-		return nil, err
-	}
-	rep := &Report{Program: p, Unrolled: p, Trace: root}
-	stage := stageRunner(ctx, root)
-	degrade := func(reason string) {
-		rep.Degraded = true
-		rep.DegradedReasons = append(rep.DegradedReasons, reason)
-	}
-	inlined := p
-	if len(p.Procs) > 0 || p.HasCalls() {
-		if err := stage("inline", func(sp *Span) error {
-			inlined = p.InlineCalls()
-			rep.Unrolled = inlined
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := checkLimit("rendezvous nodes", opt.Limits.MaxNodes, inlined.CountRendezvous()); err != nil {
-		return nil, err
-	}
-	if cfg.HasLoops(inlined) {
-		if err := stage("unroll", func(sp *Span) error {
-			// UnrollBounded predicts the 2^depth growth of Lemma 1 before
-			// allocating it, so an unroll bomb costs arithmetic, not memory.
-			unrolled, err := cfg.UnrollBounded(inlined, opt.Limits.MaxUnrolledNodes)
-			if err != nil {
-				return err
-			}
-			rep.Unrolled = unrolled
-			if sp != nil {
-				sp.Set("rendezvous_before", int64(inlined.CountRendezvous()))
-				sp.Set("rendezvous_after", int64(rep.Unrolled.CountRendezvous()))
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := stage("sync-graph", func(sp *Span) error {
-		g, err := sg.FromProgram(rep.Unrolled)
-		if err != nil {
-			return err
-		}
-		rep.Graph = g
-		if sp != nil {
-			sp.Set("tasks", int64(len(g.Tasks)))
-			sp.Set("rendezvous_nodes", int64(g.NumRendezvous()))
-			sp.Set("sync_edges", int64(g.NumSyncEdges()))
-			sp.Set("control_edges", int64(g.NumControlEdges()))
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// The FIFO refinement is only valid on the program's own loop-free
-	// graph: on a twice-unrolled graph, later loop iterations collapse
-	// onto the second copy and real diagonal pairings (instance k with
-	// instance k, k > 2) can map to copy pairs the refinement deletes.
-	if opt.FIFO && !cfg.HasLoops(inlined) {
-		if err := stage("fifo", func(sp *Span) error {
-			info := order.Compute(rep.Graph)
-			rep.FIFORemoved = rep.Graph.RemoveSyncEdges(info.InfeasibleSyncPairs())
-			sp.Set("removed_sync_edges", int64(rep.FIFORemoved))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := stage("clg", func(sp *Span) error {
-		rep.Analyzer = core.NewAnalyzerTraced(rep.Graph, sp)
-		rep.Analyzer.Parallelism = opt.Parallelism
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Each detector stage points the analyzer's trace at its own span, so
-	// the marking and SCC counters land on the stage that caused them.
-	detect := func(name string, run func()) error {
-		return stage(name, func(sp *Span) error {
-			rep.Analyzer.Trace = sp
-			defer func() { rep.Analyzer.Trace = nil }()
-			run()
-			return nil
-		})
-	}
-	if err := detect("detect:"+opt.Algorithm.String(), func() {
-		rep.Deadlock = rep.Analyzer.Run(opt.Algorithm)
-	}); err != nil {
-		return nil, err
-	}
-	if opt.AllAlgorithms {
-		for _, a := range []Algorithm{
-			AlgoNaive, AlgoRefined, AlgoRefinedPairs,
-			AlgoRefinedHeadTail, AlgoRefinedHeadTailPairs,
-		} {
-			a := a
-			if err := detect("spectrum:"+a.String(), func() {
-				rep.Spectrum = append(rep.Spectrum, rep.Analyzer.Run(a))
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if opt.Constraint4 && rep.Deadlock.MayDeadlock {
-		if err := detect("constraint4", func() {
-			rep.Constraint4Free, rep.Constraint4Conclusive = rep.Analyzer.Constraint4Certify(0)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// Stall balance runs before the expensive optional stages so that a
-	// degraded report always carries both polynomial verdicts.
-	if err := stage("stall", func(sp *Span) error {
-		rep.Stall = stall.CheckAllLinearizations(inlined)
-		if sp != nil {
-			sp.Set("unbalanced_signals", int64(len(rep.Stall.Unbalanced())))
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if opt.Enumerate {
-		if cerr := ctx.Err(); cerr != nil && opt.Degrade {
-			degrade("enumeration skipped: " + cerr.Error())
-		} else if err := detect("enumerate", func() {
-			ev := rep.Analyzer.Enumerate(opt.EnumerateLimit)
-			rep.Enumerated = &ev
-		}); err != nil {
-			return nil, err
-		} else if opt.Degrade && !rep.Enumerated.Conclusive {
-			degrade("enumeration budget exceeded; polynomial verdict stands")
-		}
-	}
-	if opt.Exact {
-		if err := runExactStage(ctx, stage, rep, inlined, opt, degrade); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
-// runExactStage runs the exact wave explorer as a pipeline stage. It is
-// shared by the plain and memoized pipelines and never memoized itself:
-// its outcome depends on deadlines, budgets and cancellation, not just
-// the program source, so a cached result could replay one request's
-// truncation into another's.
-func runExactStage(ctx context.Context, stage func(string, func(*Span) error) error, rep *Report, inlined *Program, opt Options, degrade func(string)) error {
-	if cerr := ctx.Err(); cerr != nil && opt.Degrade {
-		degrade("exact exploration skipped: " + cerr.Error())
-		return nil
-	}
-	if err := stage("exact-waves", func(sp *Span) error {
-		// The exact path expands bounded loops precisely; predict that
-		// growth too, so "loop 64 times" nests are refused, not paid.
-		if max := opt.Limits.MaxUnrolledNodes; max > 0 {
-			if n := cfg.PredictExpandedRendezvous(inlined); n > int64(max) {
-				return &ResourceError{Resource: "expanded rendezvous nodes", Limit: max, Actual: clampInt(n)}
-			}
-		}
-		eg, err := waves.ExploreProgramGraph(rep.Program)
-		if err != nil {
-			return err
-		}
-		rep.ExactGraph = eg
-		eo := opt.ExactOptions
-		if eo.Cancel == nil && ctx.Done() != nil {
-			eo.Cancel = func() bool { return ctx.Err() != nil }
-		}
-		eo.Trace = sp
-		rep.Exact = waves.Explore(eg, eo)
-		return nil
-	}); err != nil {
-		return err
-	}
-	switch {
-	case rep.Exact.Cancelled:
-		if !opt.Degrade {
-			return fmt.Errorf("analyze: cancelled during exact waves: %w", ctx.Err())
-		}
-		degrade("exact exploration hit the deadline; polynomial verdict stands")
-	case rep.Exact.Truncated && opt.Degrade:
-		degrade("exact exploration hit the state budget; polynomial verdict stands")
-	}
-	return nil
-}
-
-// stageRunner returns the pipeline-stage executor shared by the plain
-// (AnalyzeContext) and memoized (AnalyzeSourceContext) pipelines. Each
-// stage runs one pipeline step under the same discipline: deadline gate,
-// trace span, fault injection point ("analyze.<name>"), and panic
-// containment. A panic anywhere inside fn becomes a typed *InternalError
-// carrying the stage name and stack — never a crash.
-func stageRunner(ctx context.Context, root *Span) func(name string, fn func(sp *Span) error) error {
-	return func(name string, fn func(sp *Span) error) (err error) {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("analyze: cancelled before %s: %w", name, cerr)
-		}
-		sp := root.StartChild(name)
-		defer sp.End()
-		defer func() {
-			if r := recover(); r != nil {
-				err = &InternalError{Stage: name, Value: r, Stack: string(debug.Stack())}
-			}
-		}()
-		if ferr := fault.Inject("analyze." + name); ferr != nil {
-			return fmt.Errorf("analyze: stage %s: %w", name, ferr)
-		}
-		return fn(sp)
-	}
+	opt.StageCache = nil // a parsed program has no content address
+	return analyze(ctx, p, "", opt)
 }
 
 // clampInt saturates an int64 prediction into int range for error reports.

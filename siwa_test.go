@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/waves"
 )
 
 func TestAnalyzeHandshake(t *testing.T) {
@@ -396,4 +398,41 @@ func forkFanSource(n, depth int) string {
 		b.WriteString("end;\n")
 	}
 	return b.String()
+}
+
+// TestExactHonoursLoopExpansionLimit checks that the exact stage expands
+// bounded loops under Options.ExactOptions.LoopExpansionLimit, as
+// waves.ExploreProgram does, rather than under the explorer's default of
+// cfg.DefaultExpansionLimit: a raised limit admits a loop the default
+// refuses, and a lowered one refuses a loop the default admits.
+func TestExactHonoursLoopExpansionLimit(t *testing.T) {
+	loops := func(n int) string {
+		return fmt.Sprintf(`
+task a is begin loop %d times b.m; end loop; end;
+task b is begin loop %d times accept m; end loop; end;`, n, n)
+	}
+	for _, tc := range []struct {
+		count, limit int
+		wantErr      bool
+	}{
+		{count: 100, limit: 128, wantErr: false},
+		{count: 5, limit: 2, wantErr: true},
+	} {
+		p := MustParse(loops(tc.count))
+		eo := waves.Options{LoopExpansionLimit: tc.limit}
+		_, werr := waves.ExploreProgram(p, eo)
+		if (werr != nil) != tc.wantErr {
+			t.Fatalf("loop %d times, limit %d: waves.ExploreProgram err=%v, want error %v",
+				tc.count, tc.limit, werr, tc.wantErr)
+		}
+		rep, err := Analyze(p, Options{Exact: true, ExactOptions: eo})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("loop %d times, limit %d: Analyze err=%v, want error %v",
+				tc.count, tc.limit, err, tc.wantErr)
+			continue
+		}
+		if err == nil && (rep.Exact.States == 0 || rep.Exact.HasAnomaly()) {
+			t.Errorf("loop %d times, limit %d: exact result %+v", tc.count, tc.limit, rep.Exact)
+		}
+	}
 }
