@@ -93,11 +93,13 @@ pgo:
 build-pgo:
 	$(GO) build -pgo=default.pgo -ldflags "$(LDFLAGS)" ./...
 
-# Short fuzzing pass over the parser, inliner, and whole pipeline.
+# Short fuzzing pass over the parser, inliner, whole pipeline and the
+# replica's analyze handlers.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzInline -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzAnalyzeNaive -fuzztime=30s .
+	$(GO) test -fuzz=FuzzAnalyzeHandler -fuzztime=30s ./internal/service/
 
 # Regenerate every EXPERIMENTS.md table (full sizes; -quick for a fast run).
 experiments:

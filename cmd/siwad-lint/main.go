@@ -1,8 +1,7 @@
 // Command siwad-lint runs the repo's static-analysis suite: the source
 // paper's infinite-wait lens (blocking-under-lock, unreleased acquires,
-// broken context flow) plus the exposition-surface checks (metric
-// registration, error taxonomy) over Go packages, using only the
-// standard library's go/ast + go/types.
+// broken context flow) over Go packages, using only the standard
+// library's go/ast + go/types.
 //
 // Usage:
 //
@@ -106,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res := lint.RunWithContext(loader.Fset, pkgs, loader.Typed(), analyzers)
+	res := lint.Run(loader.Fset, pkgs, analyzers)
 
 	if *listIgnores {
 		return printIgnores(stdout, res)

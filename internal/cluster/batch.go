@@ -82,7 +82,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var ok, failed, unavailable int
 	for i := range results {
 		switch results[i].ErrorCode {
-		case "":
+		case 0:
 			ok++
 			g.metrics.ItemsOK.Add(1)
 		case service.CodeUnavailable:
@@ -267,7 +267,7 @@ func (g *Gateway) sendChunk(ctx context.Context, b *backend, meta batchMeta, chu
 		// each affected item without rewrapping.
 		code, msg := service.CodeInternal, fmt.Sprintf("upstream status %d", res.status)
 		var er service.ErrorResponse
-		if json.Unmarshal(res.body, &er) == nil && er.Error.Code != "" {
+		if json.Unmarshal(res.body, &er) == nil && er.Error.Code != 0 {
 			code, msg = er.Error.Code, er.Error.Message
 		}
 		for _, it := range chunk {

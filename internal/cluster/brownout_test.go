@@ -251,7 +251,7 @@ func TestGatewayBatchDeadlineDecrement(t *testing.T) {
 		t.Fatalf("batch status=%d body=%s", resp.StatusCode, data)
 	}
 	var br service.BatchResponse
-	if err := json.Unmarshal(data, &br); err != nil || len(br.Results) != 1 || br.Results[0].ErrorCode != "" {
+	if err := json.Unmarshal(data, &br); err != nil || len(br.Results) != 1 || br.Results[0].ErrorCode != 0 {
 		t.Fatalf("re-scattered batch did not recover: %s", data)
 	}
 	mu.Lock()

@@ -95,7 +95,7 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 			t.Fatalf("result %d has id %q: order not preserved under chaos", i, r.ID)
 		}
 		switch r.ErrorCode {
-		case "":
+		case 0:
 			if len(r.Report) == 0 {
 				t.Fatalf("item %d: no error but no report", i)
 			}

@@ -323,7 +323,7 @@ func (g *Gateway) BreakerState(i int) BreakerState { return g.backends[i].breake
 // BackendUp reports backend i's latest active-probe verdict.
 func (g *Gateway) BackendUp(i int) bool { return g.backends[i].up.Load() }
 
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
+func (g *Gateway) writeError(w http.ResponseWriter, status int, code service.Code, format string, args ...any) {
 	service.WriteJSON(w, status, service.ErrorResponse{Error: service.ErrorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),

@@ -48,7 +48,7 @@ type FleetBackend struct {
 	QueueDepth   int64   `json:"queueDepth"`
 	Queued       int64   `json:"queued"`
 	// Stages maps pipeline stage name to estimated latency quantiles,
-	// from the siwa_analyze_stage_seconds histograms.
+	// from the service.FamStageSeconds histograms.
 	Stages map[string]StageQuantiles `json:"stages,omitempty"`
 }
 
@@ -104,18 +104,18 @@ func (g *Gateway) scrapeBackend(ctx context.Context, fb *FleetBackend, b *backen
 		return
 	}
 	samples := parsePromText(metrics.body)
-	hits := samples.value("siwa_cache_hits_total", nil)
-	misses := samples.value("siwa_cache_misses_total", nil)
+	hits := samples.value(service.FamCacheHits.Name, nil)
+	misses := samples.value(service.FamCacheMisses.Name, nil)
 	if hits+misses > 0 {
 		fb.CacheHitRate = hits / (hits + misses)
 	}
 	fb.CacheHits = uint64(hits)
 	fb.CacheMisses = uint64(misses)
-	fb.Analyses = uint64(samples.value("siwa_analyses_total", nil))
-	fb.Workers = int64(samples.value("siwa_workers", nil))
-	fb.WorkersBusy = int64(samples.value("siwa_workers_busy", nil))
-	fb.QueueDepth = int64(samples.value("siwa_queue_depth", nil))
-	fb.Queued = int64(samples.value("siwa_queued", nil))
+	fb.Analyses = uint64(samples.value(service.FamAnalyses.Name, nil))
+	fb.Workers = int64(samples.value(service.FamWorkers.Name, nil))
+	fb.WorkersBusy = int64(samples.value(service.FamWorkersBusy.Name, nil))
+	fb.QueueDepth = int64(samples.value(service.FamQueueDepth.Name, nil))
+	fb.Queued = int64(samples.value(service.FamQueued.Name, nil))
 	fb.Stages = stageQuantiles(samples)
 }
 
@@ -249,10 +249,10 @@ func stageQuantiles(samples promSamples) map[string]StageQuantiles {
 	}
 	byStage := make(map[string][]bucket)
 	for _, s := range samples {
-		if s.name != "siwa_analyze_stage_seconds_bucket" {
+		if s.name != service.FamStageSeconds.Name+"_bucket" {
 			continue
 		}
-		stage := s.labels["stage"]
+		stage := s.labels[service.FamStageSeconds.Labels[0]]
 		le := s.labels["le"]
 		b := bucket{n: uint64(s.value)}
 		if le == "+Inf" {

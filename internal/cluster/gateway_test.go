@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -276,7 +277,7 @@ func TestGatewayTaxonomyRoundTrip(t *testing.T) {
 	// upstream answer untouched.
 	_, gts := newTestGateway(t, []string{stub.URL}, Config{MaxRetries: -1})
 
-	errBody := func(code string) string {
+	errBody := func(code service.Code) string {
 		return fmt.Sprintf(`{"error":{"code":%q,"message":"synthetic %s"}}`, code, code)
 	}
 	cases := []struct {
@@ -286,14 +287,14 @@ func TestGatewayTaxonomyRoundTrip(t *testing.T) {
 		retryAfter string
 	}{
 		{"ok", http.StatusOK, `{"report":{"x":1},"cached":true,"elapsedMs":0.1}`, ""},
-		{service.CodeInvalidRequest, http.StatusBadRequest, errBody(service.CodeInvalidRequest), ""},
-		{service.CodeParseError, http.StatusUnprocessableEntity, errBody(service.CodeParseError), ""},
-		{service.CodeTooLarge, http.StatusRequestEntityTooLarge, errBody(service.CodeTooLarge), ""},
-		{service.CodeTimeout, http.StatusServiceUnavailable, errBody(service.CodeTimeout), "2"},
-		{service.CodeShed, http.StatusTooManyRequests, errBody(service.CodeShed), "5"},
-		{service.CodeResourceLimit, http.StatusUnprocessableEntity, errBody(service.CodeResourceLimit), ""},
-		{service.CodeInternal, http.StatusInternalServerError, errBody(service.CodeInternal), ""},
-		{service.CodeUnavailable, http.StatusServiceUnavailable, errBody(service.CodeUnavailable), "1"},
+		{service.CodeInvalidRequest.String(), http.StatusBadRequest, errBody(service.CodeInvalidRequest), ""},
+		{service.CodeParseError.String(), http.StatusUnprocessableEntity, errBody(service.CodeParseError), ""},
+		{service.CodeTooLarge.String(), http.StatusRequestEntityTooLarge, errBody(service.CodeTooLarge), ""},
+		{service.CodeTimeout.String(), http.StatusServiceUnavailable, errBody(service.CodeTimeout), "2"},
+		{service.CodeShed.String(), http.StatusTooManyRequests, errBody(service.CodeShed), "5"},
+		{service.CodeResourceLimit.String(), http.StatusUnprocessableEntity, errBody(service.CodeResourceLimit), ""},
+		{service.CodeInternal.String(), http.StatusInternalServerError, errBody(service.CodeInternal), ""},
+		{service.CodeUnavailable.String(), http.StatusServiceUnavailable, errBody(service.CodeUnavailable), "1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,6 +312,56 @@ func TestGatewayTaxonomyRoundTrip(t *testing.T) {
 				t.Fatalf("Retry-After=%q, want %q", got, tc.retryAfter)
 			}
 		})
+	}
+}
+
+// TestGatewayUnknownReplicaCode: a replica body whose code is outside the
+// taxonomy (possible only under version skew) does not decode, so the
+// gateway treats it as any malformed replica body and the affected batch
+// items get internal. A single is still relayed byte for byte.
+func TestGatewayUnknownReplicaCode(t *testing.T) {
+	const single = `{"error":{"code":"bogus","message":"from a newer replica"}}`
+	var mu sync.Mutex
+	batchStatus, batchBody := http.StatusOK, ""
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/v1/analyze":
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			io.WriteString(w, single)
+		case "/v1/analyze/batch":
+			w.WriteHeader(batchStatus)
+			io.WriteString(w, batchBody)
+		}
+	}))
+	defer stub.Close()
+	_, gts := newTestGateway(t, []string{stub.URL}, Config{MaxRetries: -1})
+
+	resp, data := postJSON(t, gts.URL+"/v1/analyze", service.AnalyzeRequest{Source: "task a is begin end;"})
+	if resp.StatusCode != http.StatusUnprocessableEntity || string(data) != single {
+		t.Fatalf("single: status %d body %s, want 422 %s", resp.StatusCode, data, single)
+	}
+	for _, c := range []struct {
+		status int
+		body   string
+	}{
+		{http.StatusOK, `{"results":[{"cached":false,"error":"x","errorCode":"bogus"}],"elapsedMs":0.1}`},
+		{http.StatusUnprocessableEntity, single},
+	} {
+		mu.Lock()
+		batchStatus, batchBody = c.status, c.body
+		mu.Unlock()
+		resp, data := postJSON(t, gts.URL+"/v1/analyze/batch", service.BatchRequest{
+			Programs: []service.BatchProgram{{ID: "p", Source: "task a is begin end;"}},
+		})
+		var br service.BatchResponse
+		if err := json.Unmarshal(data, &br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 1 {
+			t.Fatalf("batch over %d: status %d body %s", c.status, resp.StatusCode, data)
+		}
+		if r := br.Results[0]; r.ID != "p" || r.ErrorCode != service.CodeInternal {
+			t.Errorf("batch over %d: item %+v, want code internal", c.status, r)
+		}
 	}
 }
 
@@ -517,7 +568,7 @@ func TestGatewayBatchOrderAndSharding(t *testing.T) {
 		if r.ID != fmt.Sprintf("p%d", i) {
 			t.Fatalf("result %d has id %q: order not preserved", i, r.ID)
 		}
-		if r.ErrorCode != "" || len(r.Report) == 0 {
+		if r.ErrorCode != 0 || len(r.Report) == 0 {
 			t.Fatalf("item %d failed: code=%q err=%q", i, r.ErrorCode, r.Error)
 		}
 	}
@@ -679,6 +730,44 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The # TYPE lines announce exactly these families, each once.
+	families := map[string]string{
+		"siwa_gateway_requests_total":               "counter",
+		"siwa_gateway_singleflight_dedup_total":     "counter",
+		"siwa_gateway_retries_total":                "counter",
+		"siwa_gateway_unavailable_total":            "counter",
+		"siwa_gateway_panics_total":                 "counter",
+		"siwa_gateway_hedges_total":                 "counter",
+		"siwa_gateway_hedge_wins_total":             "counter",
+		"siwa_gateway_retry_budget_exhausted_total": "counter",
+		"siwa_gateway_retry_budget_tokens":          "gauge",
+		"siwa_gateway_batch_items_total":            "counter",
+		"siwa_gateway_backend_requests_total":       "counter",
+		"siwa_gateway_backend_failures_total":       "counter",
+		"siwa_gateway_backend_up":                   "gauge",
+		"siwa_gateway_breaker_state":                "gauge",
+		"siwa_gateway_ring_ownership_millionths":    "gauge",
+		"siwa_gateway_backend_request_seconds":      "histogram",
+		"siwa_gateway_traces_retained_total":        "counter",
+		"siwa_gateway_traces_dropped_total":         "counter",
+		"siwa_gateway_traces_retained_bytes":        "gauge",
+		"siwa_gateway_go_goroutines":                "gauge",
+		"siwa_gateway_go_heap_inuse_bytes":          "gauge",
+		"siwa_gateway_go_gc_pause_seconds_total":    "counter",
+		"siwa_build_info":                           "gauge",
+	}
+	declared := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			if _, dup := declared[f[2]]; dup {
+				t.Errorf("TYPE for %s announced more than once", f[2])
+			}
+			declared[f[2]] = f[3]
+		}
+	}
+	if !maps.Equal(declared, families) {
+		t.Errorf("# TYPE families:\n got %v\nwant %v", declared, families)
 	}
 	var ownSum int64
 	for _, line := range strings.Split(text, "\n") {

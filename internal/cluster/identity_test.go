@@ -150,7 +150,7 @@ func TestRequestBodyRejectionIdenticalAcrossTiers(t *testing.T) {
 	f := newFleet(t, 1, service.Config{})
 	_, gw := newTestGateway(t, f.urls, Config{})
 	const src = `"task a is begin end;"`
-	post := func(url, body string) (int, string) {
+	post := func(url, body string) (int, service.Code) {
 		t.Helper()
 		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -162,7 +162,7 @@ func TestRequestBodyRejectionIdenticalAcrossTiers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode == http.StatusOK {
-			return resp.StatusCode, ""
+			return resp.StatusCode, 0
 		}
 		return resp.StatusCode, decodeError(t, data).Code
 	}
@@ -181,6 +181,14 @@ func TestRequestBodyRejectionIdenticalAcrossTiers(t *testing.T) {
 		if rs != http.StatusBadRequest || rc != service.CodeInvalidRequest {
 			t.Errorf("%s: got (%d, %q), want (400, %q)", c.name, rs, rc, service.CodeInvalidRequest)
 		}
+	}
+	// An unknown trace id gets the same 404 body from both tiers.
+	const unknown = "ffffffffffffffffffffffffffffffff"
+	want := "{\n  \"error\": {\n    \"code\": \"not_found\",\n    \"message\": \"no retained trace \\\"" + unknown + "\\\"\"\n  }\n}\n"
+	rs, rb := getBody(t, f.urls[0]+"/debug/traces/"+unknown)
+	gs, gb := getBody(t, gw.URL+"/debug/traces/"+unknown)
+	if rs != http.StatusNotFound || gs != http.StatusNotFound || rb != want || gb != want {
+		t.Errorf("unknown trace: replica answered %d %q, gateway %d %q, want 404 %q", rs, rb, gs, gb, want)
 	}
 	// Whitespace after the value is not data: both tiers accept it.
 	for _, path := range []string{"/v1/analyze", "/v1/analyze/batch"} {

@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // BackendMetrics holds one replica's per-backend counters and the
@@ -54,61 +54,78 @@ func newMetrics(g *Gateway) *Metrics {
 // backend returns the per-backend metric block (fixed at construction).
 func (m *Metrics) backend(name string) *BackendMetrics { return m.perBackend[name] }
 
+// The gateway's metric families, in exposition order.
+var (
+	famRequests             = obs.Family{Name: "siwa_gateway_requests_total", Help: "requests received by the gateway", Type: "counter", Labels: []string{"endpoint"}}
+	famDedup                = obs.Family{Name: "siwa_gateway_singleflight_dedup_total", Help: "analyze requests served by sharing an identical in-flight upstream call", Type: "counter"}
+	famRetries              = obs.Family{Name: "siwa_gateway_retries_total", Help: "upstream 429/503 responses retried with backoff", Type: "counter"}
+	famUnavailable          = obs.Family{Name: "siwa_gateway_unavailable_total", Help: "requests or batch items that found no reachable backend", Type: "counter"}
+	famPanics               = obs.Family{Name: "siwa_gateway_panics_total", Help: "panics recovered in gateway handlers", Type: "counter"}
+	famHedges               = obs.Family{Name: "siwa_gateway_hedges_total", Help: "speculative attempts launched for slow primaries", Type: "counter"}
+	famHedgeWins            = obs.Family{Name: "siwa_gateway_hedge_wins_total", Help: "hedged attempts whose answer was relayed to the client", Type: "counter"}
+	famRetryBudgetExhausted = obs.Family{Name: "siwa_gateway_retry_budget_exhausted_total", Help: "retries suppressed because the retry budget was empty", Type: "counter"}
+	famRetryBudgetTokens    = obs.Family{Name: "siwa_gateway_retry_budget_tokens", Help: "retry tokens available", Type: "gauge", Labels: []string{"scope"}}
+	famBatchItems           = obs.Family{Name: "siwa_gateway_batch_items_total", Help: "per-item outcomes inside proxied batches", Type: "counter", Labels: []string{"outcome"}}
+	famBackendRequests      = obs.Family{Name: "siwa_gateway_backend_requests_total", Help: "upstream requests per backend", Type: "counter", Labels: []string{"backend"}}
+	famBackendFailures      = obs.Family{Name: "siwa_gateway_backend_failures_total", Help: "transport-level failures per backend", Type: "counter", Labels: []string{"backend"}}
+	famBackendUp            = obs.Family{Name: "siwa_gateway_backend_up", Help: "latest active health probe verdict (1 up, 0 down)", Type: "gauge", Labels: []string{"backend"}}
+	famBreakerState         = obs.Family{Name: "siwa_gateway_breaker_state", Help: "circuit breaker state per backend (0 closed, 1 open, 2 half-open)", Type: "gauge", Labels: []string{"backend"}}
+	famRingOwnership        = obs.Family{Name: "siwa_gateway_ring_ownership_millionths", Help: "fraction of the hash keyspace owned, in millionths", Type: "gauge", Labels: []string{"backend"}}
+	famBackendSeconds       = obs.Family{Name: "siwa_gateway_backend_request_seconds", Help: "upstream request wall time by backend", Type: "histogram", Labels: []string{"backend"}}
+)
+
 // WriteTo renders the exposition. Families and label sets come out in a
 // fixed order (config order for backends) so scrapes are reproducible.
 func (m *Metrics) WriteTo(w io.Writer, g *Gateway) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_requests_total requests received by the gateway\n# TYPE siwa_gateway_requests_total counter\n")
-	fmt.Fprintf(w, "siwa_gateway_requests_total{endpoint=%q} %d\n", "analyze", m.RequestsAnalyze.Load())
-	fmt.Fprintf(w, "siwa_gateway_requests_total{endpoint=%q} %d\n", "batch", m.RequestsBatch.Load())
-	counter("siwa_gateway_singleflight_dedup_total", "analyze requests served by sharing an identical in-flight upstream call", m.Dedup.Load())
-	counter("siwa_gateway_retries_total", "upstream 429/503 responses retried with backoff", m.Retries.Load())
-	counter("siwa_gateway_unavailable_total", "requests or batch items that found no reachable backend", m.Unavailable.Load())
-	counter("siwa_gateway_panics_total", "panics recovered in gateway handlers", m.Panics.Load())
-	counter("siwa_gateway_hedges_total", "speculative attempts launched for slow primaries", m.Hedges.Load())
-	counter("siwa_gateway_hedge_wins_total", "hedged attempts whose answer was relayed to the client", m.HedgeWins.Load())
-	counter("siwa_gateway_retry_budget_exhausted_total", "retries suppressed because the retry budget was empty", m.RetryBudgetExhausted.Load())
+	famRequests.Head(w)
+	famRequests.Sample(w, m.RequestsAnalyze.Load(), "analyze")
+	famRequests.Sample(w, m.RequestsBatch.Load(), "batch")
+	famDedup.Write(w, m.Dedup.Load())
+	famRetries.Write(w, m.Retries.Load())
+	famUnavailable.Write(w, m.Unavailable.Load())
+	famPanics.Write(w, m.Panics.Load())
+	famHedges.Write(w, m.Hedges.Load())
+	famHedgeWins.Write(w, m.HedgeWins.Load())
+	famRetryBudgetExhausted.Write(w, m.RetryBudgetExhausted.Load())
 	if g.retryBudget != nil {
-		fmt.Fprintf(w, "# HELP siwa_gateway_retry_budget_tokens retry tokens available\n# TYPE siwa_gateway_retry_budget_tokens gauge\n")
-		fmt.Fprintf(w, "siwa_gateway_retry_budget_tokens{scope=%q} %g\n", "global", g.retryBudget.Tokens())
+		famRetryBudgetTokens.Head(w)
+		famRetryBudgetTokens.Sample(w, g.retryBudget.Tokens(), "global")
 		for _, b := range g.backends {
-			fmt.Fprintf(w, "siwa_gateway_retry_budget_tokens{scope=%q} %g\n", b.name, b.retry.Tokens())
+			famRetryBudgetTokens.Sample(w, b.retry.Tokens(), b.name)
 		}
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_batch_items_total per-item outcomes inside proxied batches\n# TYPE siwa_gateway_batch_items_total counter\n")
-	fmt.Fprintf(w, "siwa_gateway_batch_items_total{outcome=%q} %d\n", "ok", m.ItemsOK.Load())
-	fmt.Fprintf(w, "siwa_gateway_batch_items_total{outcome=%q} %d\n", "error", m.ItemsError.Load())
-	fmt.Fprintf(w, "siwa_gateway_batch_items_total{outcome=%q} %d\n", "unavailable", m.ItemsUnavailable.Load())
+	famBatchItems.Head(w)
+	famBatchItems.Sample(w, m.ItemsOK.Load(), "ok")
+	famBatchItems.Sample(w, m.ItemsError.Load(), "error")
+	famBatchItems.Sample(w, m.ItemsUnavailable.Load(), service.CodeUnavailable.String())
 
-	fmt.Fprintf(w, "# HELP siwa_gateway_backend_requests_total upstream requests per backend\n# TYPE siwa_gateway_backend_requests_total counter\n")
+	famBackendRequests.Head(w)
 	for _, name := range m.order {
-		fmt.Fprintf(w, "siwa_gateway_backend_requests_total{backend=%q} %d\n", name, m.perBackend[name].Requests.Load())
+		famBackendRequests.Sample(w, m.perBackend[name].Requests.Load(), name)
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_backend_failures_total transport-level failures per backend\n# TYPE siwa_gateway_backend_failures_total counter\n")
+	famBackendFailures.Head(w)
 	for _, name := range m.order {
-		fmt.Fprintf(w, "siwa_gateway_backend_failures_total{backend=%q} %d\n", name, m.perBackend[name].Failures.Load())
+		famBackendFailures.Sample(w, m.perBackend[name].Failures.Load(), name)
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_backend_up latest active health probe verdict (1 up, 0 down)\n# TYPE siwa_gateway_backend_up gauge\n")
+	famBackendUp.Head(w)
 	for _, b := range g.backends {
 		up := 0
 		if b.up.Load() {
 			up = 1
 		}
-		fmt.Fprintf(w, "siwa_gateway_backend_up{backend=%q} %d\n", b.name, up)
+		famBackendUp.Sample(w, up, b.name)
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_breaker_state circuit breaker state per backend (0 closed, 1 open, 2 half-open)\n# TYPE siwa_gateway_breaker_state gauge\n")
+	famBreakerState.Head(w)
 	for _, b := range g.backends {
-		fmt.Fprintf(w, "siwa_gateway_breaker_state{backend=%q} %d\n", b.name, int(b.breaker.State()))
+		famBreakerState.Sample(w, int(b.breaker.State()), b.name)
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_ring_ownership_millionths fraction of the hash keyspace owned, in millionths\n# TYPE siwa_gateway_ring_ownership_millionths gauge\n")
+	famRingOwnership.Head(w)
 	own := g.ring.Ownership()
 	for i, name := range m.order {
-		fmt.Fprintf(w, "siwa_gateway_ring_ownership_millionths{backend=%q} %d\n", name, int64(own[i]*1e6+0.5))
+		famRingOwnership.Sample(w, int64(own[i]*1e6+0.5), name)
 	}
-	fmt.Fprintf(w, "# HELP siwa_gateway_backend_request_seconds upstream request wall time by backend\n# TYPE siwa_gateway_backend_request_seconds histogram\n")
+	famBackendSeconds.Head(w)
 	for _, name := range m.order {
-		m.perBackend[name].Latency.WriteProm(w, "siwa_gateway_backend_request_seconds", "backend", name)
+		famBackendSeconds.Histogram(w, m.perBackend[name].Latency, name)
 	}
 }

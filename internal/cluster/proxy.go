@@ -452,7 +452,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 // that kept the analysis from being attempted is "unavailable" (the
 // client should back off and retry — the ring will have healed), except a
 // client-side deadline, which stays "timeout".
-func (g *Gateway) writeRouteError(w http.ResponseWriter, err error) (status int, code string) {
+func (g *Gateway) writeRouteError(w http.ResponseWriter, err error) (status int, code service.Code) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		g.writeError(w, http.StatusServiceUnavailable, service.CodeTimeout,
 			"request aborted: %v", err)
@@ -513,7 +513,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		status, code := g.writeRouteError(w, err)
-		g.logRequest(r, "analyze", status, start, slog.String("code", code))
+		g.logRequest(r, "analyze", status, start, slog.String("code", code.String()))
 		return
 	}
 	th.RootSpan().SetAttr("backend", res.backend)

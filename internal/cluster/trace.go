@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -106,10 +105,7 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	recs := g.exporter.Get(id) // deep copies: grafting never mutates the ring
 	if len(recs) == 0 {
-		obs.WriteTraceJSON(w, http.StatusNotFound, service.ErrorResponse{Error: service.ErrorBody{
-			Code:    service.CodeNotFound,
-			Message: fmt.Sprintf("no retained trace %q", id),
-		}})
+		service.WriteTraceNotFound(w, id)
 		return
 	}
 	// Index every span of our own records by span id, so replica roots can

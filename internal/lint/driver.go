@@ -215,22 +215,6 @@ func (l *Loader) typecheck(importPath string) (*Package, error) {
 	return p, nil
 }
 
-// Typed returns every non-standard-library package this loader has
-// typechecked so far — the requested packages plus their module-local
-// dependency closure — in deterministic order. Registry-driven analyzers
-// take it as run context so a subset run still resolves cross-package
-// registration tables.
-func (l *Loader) Typed() []*Package {
-	var out []*Package
-	for _, p := range l.typed {
-		if !p.Standard {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	return out
-}
-
 // importFor resolves one import spelling inside pkg: the package's
 // ImportMap first (vendored std rewrites like golang.org/x/net/... ->
 // vendor/golang.org/x/net/...), then the path verbatim.

@@ -4,10 +4,10 @@
 // forever; the Go shapes of the same anomaly class here are blocking
 // operations reached while a mutex is held (waitlock), acquired resources
 // that some path never releases (pairup), and request contexts that stop
-// flowing so cancellation never arrives (ctxflow). Two supporting passes
-// keep the observable surface honest: metric names must match their
-// pre-registration tables (metricreg) and error responses may only carry
-// registered taxonomy codes (errtaxonomy).
+// flowing so cancellation never arrives (ctxflow). These are behaviours
+// the type system cannot check; invariants it can check (metric families
+// declared once as obs.Family values, error codes as the closed
+// service.Code type) are left to the compiler.
 //
 // Everything is built on the standard library's go/ast + go/types, driven
 // by `go list -json` and source typechecking, so the module keeps zero
@@ -44,19 +44,11 @@ func (d Diagnostic) String() string {
 	return s
 }
 
-// Pass is one analyzer's view of one package. All holds every package in
-// the run, Context the rest of the typechecked closure (dependencies that
-// are not themselves being linted): registry-driven analyzers (metricreg)
-// resolve their registration tables across package boundaries — the
-// gateway scrapes replica metric names, so its observation sites must
-// check against the service package's table even when only the gateway
-// package is in the run.
+// Pass is one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	All      []*Package
-	Context  []*Package
 
 	diags *[]Diagnostic
 }
@@ -81,13 +73,11 @@ type Analyzer struct {
 
 // Analyzers is the full suite, in stable order. waitlock and pairup are
 // the paper's infinite-wait and resource-leak anomalies transliterated to
-// Go; the rest keep the request path and the observable surface coherent.
+// Go; ctxflow keeps cancellation flowing along the request path.
 var Analyzers = []*Analyzer{
 	WaitlockAnalyzer,
 	PairupAnalyzer,
 	CtxflowAnalyzer,
-	MetricregAnalyzer,
-	ErrtaxonomyAnalyzer,
 }
 
 // ByName returns the named analyzer, or nil.
@@ -188,14 +178,6 @@ func (r *Result) SuppressedCount() int {
 // applies //lint:ignore suppressions. Diagnostics come out sorted by
 // file, line, column, analyzer.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) *Result {
-	return RunWithContext(fset, pkgs, nil, analyzers)
-}
-
-// RunWithContext is Run with extra typechecked-but-not-linted packages
-// (typically Loader.Typed() — the dependency closure) whose registration
-// tables registry-driven analyzers may consult. No diagnostics are ever
-// reported against context packages.
-func RunWithContext(fset *token.FileSet, pkgs, context []*Package, analyzers []*Analyzer) *Result {
 	if analyzers == nil {
 		analyzers = Analyzers
 	}
@@ -207,7 +189,7 @@ func RunWithContext(fset *token.FileSet, pkgs, context []*Package, analyzers []*
 			ignores = append(ignores, parseIgnores(fset, f, &diags)...)
 		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, All: pkgs, Context: context, diags: &diags}
+			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, diags: &diags}
 			a.Run(pass)
 		}
 		for i := range diags {

@@ -106,14 +106,6 @@ func TestCtxflowFixtures(t *testing.T) {
 	checkFixture(t, "ctxflow", []*Analyzer{CtxflowAnalyzer})
 }
 
-func TestMetricregFixtures(t *testing.T) {
-	checkFixture(t, "metricreg", []*Analyzer{MetricregAnalyzer})
-}
-
-func TestErrtaxonomyFixtures(t *testing.T) {
-	checkFixture(t, "errtaxonomy", []*Analyzer{ErrtaxonomyAnalyzer})
-}
-
 // TestPairupDetectsHistoricalBugShapes pins the acceptance criterion
 // explicitly by function name, independent of the want comments: the two
 // PR-5 shapes must each produce a pairup diagnostic.
@@ -199,26 +191,6 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestSubsetRunResolvesCrossPackageRegistries: linting one package must
-// consult registration tables from its typechecked dependency closure.
-// The gateway's fleet aggregator checks scraped replica metric names
-// against the service package's metricFamilies table and relays service
-// taxonomy codes — a cluster-only run must not flag either.
-func TestSubsetRunResolvesCrossPackageRegistries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the cluster dependency closure; skipped in -short")
-	}
-	l := NewLoader(moduleRoot(t))
-	pkgs, err := l.Load("./internal/cluster")
-	if err != nil {
-		t.Fatalf("load ./internal/cluster: %v", err)
-	}
-	res := RunWithContext(l.Fset, pkgs, l.Typed(), nil)
-	for _, d := range res.Unsuppressed() {
-		t.Errorf("unsuppressed finding in subset run: %s", d.String())
-	}
-}
-
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()
@@ -259,7 +231,7 @@ func TestDiagnosticString(t *testing.T) {
 // present — the CLI's -analyzers flag and the README table depend on
 // these.
 func TestAnalyzerRegistry(t *testing.T) {
-	wantNames := []string{"waitlock", "pairup", "ctxflow", "metricreg", "errtaxonomy"}
+	wantNames := []string{"waitlock", "pairup", "ctxflow"}
 	if len(Analyzers) != len(wantNames) {
 		t.Fatalf("len(Analyzers) = %d, want %d", len(Analyzers), len(wantNames))
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -304,6 +303,13 @@ func (e *Exporter) Stats() (reasons map[string]uint64, dropped uint64) {
 	return reasons, e.dropped
 }
 
+// The trace-ring families, declared without the tier prefix.
+var (
+	famTracesRetained = Family{Name: "_traces_retained_total", Help: "Completed traces retained in the debug ring, by reason.", Type: "counter", Labels: []string{"reason"}}
+	famTracesDropped  = Family{Name: "_traces_dropped_total", Help: "Completed traces dropped by head sampling.", Type: "counter"}
+	famTracesBytes    = Family{Name: "_traces_retained_bytes", Help: "Encoded size of the span records held by the debug trace ring.", Type: "gauge"}
+)
+
 // WriteProm renders the exporter counters in Prometheus text format under
 // the given metric prefix.
 func (e *Exporter) WriteProm(w io.Writer, prefix string) {
@@ -311,49 +317,21 @@ func (e *Exporter) WriteProm(w io.Writer, prefix string) {
 		return
 	}
 	reasons, dropped := e.Stats()
-	fmt.Fprintf(w, "# HELP %s_traces_retained_total Completed traces retained in the debug ring, by reason.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_traces_retained_total counter\n", prefix)
+	retained := famTracesRetained.Prefixed(prefix)
+	retained.Head(w)
 	for _, reason := range []string{RetainError, RetainSlow, RetainDegraded, RetainSampled} {
-		fmt.Fprintf(w, "%s_traces_retained_total{reason=%q} %d\n", prefix, reason, reasons[reason])
+		retained.Sample(w, reasons[reason], reason)
 	}
-	for reason, n := range reasons {
-		switch reason {
-		case RetainError, RetainSlow, RetainDegraded, RetainSampled:
-		default:
-			fmt.Fprintf(w, "%s_traces_retained_total{reason=%q} %d\n", prefix, reason, n)
-		}
-	}
-	fmt.Fprintf(w, "# HELP %s_traces_dropped_total Completed traces dropped by head sampling.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_traces_dropped_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_traces_dropped_total %d\n", prefix, dropped)
+	famTracesDropped.Prefixed(prefix).Write(w, dropped)
 	e.mu.Lock()
 	held := e.bytes
 	e.mu.Unlock()
-	fmt.Fprintf(w, "# HELP %s_traces_retained_bytes Encoded size of the span records held by the debug trace ring.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_traces_retained_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_traces_retained_bytes %d\n", prefix, held)
+	famTracesBytes.Prefixed(prefix).Write(w, held)
 }
 
 // ServeList handles GET /debug/traces.
 func (e *Exporter) ServeList(w http.ResponseWriter, r *http.Request) {
 	WriteTraceJSON(w, http.StatusOK, e.List())
-}
-
-// ServeGet handles GET /debug/traces/{id} (the id is the {id} path
-// value). Unknown ids get a JSON 404 in the service error-body shape.
-func (e *Exporter) ServeGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	recs := e.Get(id)
-	if len(recs) == 0 {
-		WriteTraceJSON(w, http.StatusNotFound, map[string]any{
-			"error": map[string]string{
-				"code":    "not_found",
-				"message": fmt.Sprintf("no retained trace %q", id),
-			},
-		})
-		return
-	}
-	WriteTraceJSON(w, http.StatusOK, TraceLookup{TraceID: id, Records: recs})
 }
 
 // WriteTraceJSON writes a /debug/traces body: indented JSON, for reading

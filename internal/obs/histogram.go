@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -10,10 +8,10 @@ import (
 )
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent
-// Observe calls, rendered in the Prometheus text exposition format
-// (cumulative `_bucket` series with an le label, plus `_sum` and
-// `_count`). Bounds are upper bucket edges in seconds; an implicit +Inf
-// bucket catches the tail.
+// Observe calls, rendered by Family.Histogram in the Prometheus text
+// exposition format (cumulative `_bucket` series with an le label, plus
+// `_sum` and `_count`). Bounds are upper bucket edges in seconds; an
+// implicit +Inf bucket catches the tail.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
@@ -129,28 +127,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // formatLe renders a bucket bound the way Prometheus clients do.
 func formatLe(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
-
-// WriteProm renders the histogram's series. The caller emits the family's
-// # HELP and # TYPE lines (once per family, even with many label sets);
-// labelKey/labelValue add one label pair to every series ("" omits it).
-func (h *Histogram) WriteProm(w io.Writer, name, labelKey, labelValue string) {
-	s := h.Snapshot()
-	label := func(le string) string {
-		switch {
-		case labelKey == "" && le == "":
-			return ""
-		case labelKey == "":
-			return fmt.Sprintf(`{le=%q}`, le)
-		case le == "":
-			return fmt.Sprintf(`{%s=%q}`, labelKey, labelValue)
-		default:
-			return fmt.Sprintf(`{%s=%q,le=%q}`, labelKey, labelValue, le)
-		}
-	}
-	for i, b := range s.Bounds {
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, label(formatLe(b)), s.Cumulative[i])
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, label("+Inf"), s.Count)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, label(""), s.SumSeconds)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, label(""), s.Count)
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -44,24 +43,24 @@ func VersionString() string {
 	return "dev"
 }
 
-// WriteRuntimeMetrics renders Go runtime telemetry in Prometheus text
-// format: goroutine count, heap in use, cumulative GC pause, and the
-// build-info gauge. Process-level metrics (goroutines, heap) take the
-// tier's prefix; siwa_build_info keeps one fleet-wide name so a single
+// The runtime families. The process-level ones are declared without the
+// tier prefix; siwa_build_info keeps one fleet-wide name so a single
 // query lists every binary's version.
+var (
+	famGoroutines = Family{Name: "_go_goroutines", Help: "Number of live goroutines.", Type: "gauge"}
+	famHeapInuse  = Family{Name: "_go_heap_inuse_bytes", Help: "Heap bytes in use.", Type: "gauge"}
+	famGCPause    = Family{Name: "_go_gc_pause_seconds_total", Help: "Cumulative stop-the-world GC pause.", Type: "counter"}
+	famBuildInfo  = Family{Name: "siwa_build_info", Help: "Build metadata; the gauge value is always 1.", Type: "gauge", Labels: []string{"version", "go"}}
+)
+
+// WriteRuntimeMetrics renders Go runtime telemetry in Prometheus text
+// format under the tier's prefix: goroutine count, heap in use,
+// cumulative GC pause, and the build-info gauge.
 func WriteRuntimeMetrics(w io.Writer, prefix string) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP %s_go_goroutines Number of live goroutines.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_go_goroutines gauge\n", prefix)
-	fmt.Fprintf(w, "%s_go_goroutines %d\n", prefix, runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP %s_go_heap_inuse_bytes Heap bytes in use.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_go_heap_inuse_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_go_heap_inuse_bytes %d\n", prefix, ms.HeapInuse)
-	fmt.Fprintf(w, "# HELP %s_go_gc_pause_seconds_total Cumulative stop-the-world GC pause.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_go_gc_pause_seconds_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_go_gc_pause_seconds_total %g\n", prefix, float64(ms.PauseTotalNs)/1e9)
-	fmt.Fprintf(w, "# HELP siwa_build_info Build metadata; the gauge value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE siwa_build_info gauge\n")
-	fmt.Fprintf(w, "siwa_build_info{version=%q,go=%q} 1\n", VersionString(), runtime.Version())
+	famGoroutines.Prefixed(prefix).Write(w, runtime.NumGoroutine())
+	famHeapInuse.Prefixed(prefix).Write(w, ms.HeapInuse)
+	famGCPause.Prefixed(prefix).Write(w, float64(ms.PauseTotalNs)/1e9)
+	famBuildInfo.Write(w, 1, VersionString(), runtime.Version())
 }

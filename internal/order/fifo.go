@@ -4,22 +4,35 @@ import (
 	"sort"
 
 	"repro/internal/cfg"
+	"repro/internal/graph"
 )
 
 // FIFO sync-edge refinement (extension; not in the paper, but in the
 // family of execution-wave feasibility arguments §4 opens with).
 //
-// For a signal type whose send nodes form one strong Precede chain
-// s1 < s2 < ... < sm and whose accept nodes form one chain
-// a1 < ... < an, the i-th accept can only ever rendezvous with the i-th
-// send. Induction on j: when sj is reached, s1..s(j-1) have finished with
-// j-1 *distinct* accepts, and none of those can have an index above the
-// pairing accept ai (a finished later-chain accept would force ai
-// finished too); with j > i that leaves j-1 >= i distinct accepts below
-// index i — impossible. Symmetrically for i > j. Off-diagonal sync edges
-// are therefore infeasible in every execution and may be deleted from the
-// sync graph before any detector runs, which shrinks the CLG and lets
-// even the naive detector certify repeated-message patterns (pipelines).
+// For a signal type whose send nodes form one dominance chain
+// s1 < s2 < ... < sm inside one task and whose accept nodes form one
+// dominance chain a1 < ... < an inside one task, the i-th accept can only
+// ever rendezvous with the i-th send. Induction on j: when sj is reached,
+// s1..s(j-1) have finished with j-1 *distinct* accepts, and none of those
+// can have an index above the pairing accept ai (a finished later-chain
+// accept would force ai finished too); with j > i that leaves j-1 >= i
+// distinct accepts below index i — impossible. Symmetrically for i > j.
+// Off-diagonal sync edges therefore never fire. Deleting them from the
+// sync graph before any detector runs shrinks the CLG and lets even the
+// naive detector certify repeated-message patterns (pipelines).
+//
+// Never firing is not enough to delete an edge, though: the detectors
+// also read a sync edge as a wait, and deleting an edge that a blocked
+// wave waits on turns a deadlock into a stall. The chains must be dominance chains inside one
+// task each, not any strong Precede chains. Then a sender task waiting at
+// sj has finished s1..s(j-1), which paired with a1..a(j-1), and aj
+// dominates every later accept, so the accepter task must reach aj before
+// any of them: the kept diagonal edge (sj, aj) carries the wait.
+// Symmetrically for an accepter waiting at ai. Precede also orders nodes
+// through mutually-unique partner transfers across tasks; a chain built
+// that way proves the off-diagonal pairings never fire, but a blocked
+// wave can still wait on one of them.
 //
 // Soundness is property-tested two ways: exact exploration of the refined
 // graph matches the original on states, transitions, completion and
@@ -34,6 +47,7 @@ func (i *Info) InfeasibleSyncPairs() [][2]int {
 		return nil
 	}
 	g := i.G
+	idom := g.Control.Dominators(g.B)
 	type ends struct{ sends, accepts []int }
 	bySig := map[string]*ends{}
 	for _, n := range g.Nodes {
@@ -57,8 +71,8 @@ func (i *Info) InfeasibleSyncPairs() [][2]int {
 		if len(e.sends) < 2 && len(e.accepts) < 2 {
 			continue // single pairing possible anyway
 		}
-		sends, ok1 := i.chain(e.sends)
-		accepts, ok2 := i.chain(e.accepts)
+		sends, ok1 := i.chain(e.sends, idom)
+		accepts, ok2 := i.chain(e.accepts, idom)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -79,11 +93,13 @@ func (i *Info) InfeasibleSyncPairs() [][2]int {
 	return out
 }
 
-// chain orders nodes into a single strong Precede chain, reporting
-// failure when some pair is unordered. Selection is explicit (repeatedly
-// pick an element preceding every remaining one) because Precede is a
-// partial order and sort comparators require totality.
-func (i *Info) chain(nodes []int) ([]int, bool) {
+// chain orders nodes into a single dominance chain inside one task (rule
+// 1 alone), reporting failure when some pair is unordered. Selection is
+// explicit (repeatedly pick an element dominating every remaining one)
+// because dominance is a partial order and sort comparators require
+// totality.
+func (i *Info) chain(nodes, idom []int) ([]int, bool) {
+	g := i.G
 	remaining := append([]int(nil), nodes...)
 	out := make([]int, 0, len(remaining))
 	for len(remaining) > 0 {
@@ -91,7 +107,7 @@ func (i *Info) chain(nodes []int) ([]int, bool) {
 		for xi, x := range remaining {
 			ok := true
 			for yi, y := range remaining {
-				if xi != yi && !i.Precede.Get(x, y) {
+				if xi != yi && (g.TaskOf[x] != g.TaskOf[y] || !graph.Dominates(idom, g.B, x, y)) {
 					ok = false
 					break
 				}

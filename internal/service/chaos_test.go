@@ -21,7 +21,7 @@ func decodeError(t *testing.T, data []byte) ErrorBody {
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatalf("error body not structured: %v\n%s", err, data)
 	}
-	if er.Error.Code == "" || er.Error.Message == "" {
+	if er.Error.Code == 0 || er.Error.Message == "" {
 		t.Fatalf("error body incomplete: %s", data)
 	}
 	return er.Error
@@ -209,7 +209,7 @@ func TestChaos(t *testing.T) {
 		}
 		// Healthy items either succeed or were hit by the 10% fault.
 		switch r.ErrorCode {
-		case "":
+		case 0:
 			if r.Report == nil {
 				t.Fatalf("item %s: no report and no error", r.ID)
 			}
@@ -391,7 +391,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		name   string
 		body   string
 		status int
-		code   string
+		code   Code
 	}{
 		{"malformed json", "{nope", http.StatusBadRequest, CodeInvalidRequest},
 		{"missing source", `{"source":""}`, http.StatusBadRequest, CodeInvalidRequest},

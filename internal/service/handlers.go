@@ -115,7 +115,7 @@ type BatchResult struct {
 	Report    json.RawMessage `json:"report,omitempty"`
 	Cached    bool            `json:"cached"`
 	Error     string          `json:"error,omitempty"`
-	ErrorCode string          `json:"errorCode,omitempty"`
+	ErrorCode Code            `json:"errorCode,omitempty"`
 }
 
 // BatchResponse is the POST /v1/analyze/batch success body.
@@ -124,7 +124,7 @@ type BatchResponse struct {
 	ElapsedMs float64       `json:"elapsedMs"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
+func (s *Server) writeError(w http.ResponseWriter, status int, code Code, format string, args ...any) {
 	s.metrics.Errors.Add(1)
 	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
 		Code:    code,
@@ -135,7 +135,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code string, form
 
 // decodeBody decodes the request body into v under the configured size
 // limit, reporting (status, code, error) on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, string, error) {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, Code, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := DecodeJSON(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
@@ -146,7 +146,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int,
 		return http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Errorf("invalid request body: %v", err)
 	}
-	return 0, "", nil
+	return 0, 0, nil
 }
 
 func isCancellation(err error) bool {
@@ -379,7 +379,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logRequest(r, id, "analyze", status, start,
 		slog.String("algorithm", algo),
-		slog.String("code", code),
+		slog.String("code", code.String()),
 		slog.String("error", err.Error()))
 }
 
@@ -578,7 +578,7 @@ func (s *Server) shedDeadline(w http.ResponseWriter, r *http.Request, id, endpoi
 		TraceID: w.Header().Get("X-Trace-Id"),
 	}})
 	s.logRequest(r, id, endpoint, http.StatusServiceUnavailable, start,
-		slog.String("code", CodeTimeout),
+		slog.String("code", CodeTimeout.String()),
 		slog.String("error", "deadline budget below floor"))
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -25,8 +24,9 @@ const (
 	numBatchOutcomes
 )
 
-// batchOutcomeNames are the label values, indexed by BatchOutcome.
-var batchOutcomeNames = [numBatchOutcomes]string{"ok", "cached", "error", "timeout", "shed"}
+// batchOutcomeNames are the label values, indexed by BatchOutcome. An
+// item that timed out or was shed is labelled with its error code.
+var batchOutcomeNames = [numBatchOutcomes]string{"ok", "cached", "error", CodeTimeout.String(), CodeShed.String()}
 
 // Metrics holds the service counters and latency histograms, exported by
 // GET /metrics in the Prometheus text exposition format (hand-rolled; the
@@ -103,6 +103,38 @@ func (m *Metrics) ObserveSpans(root *obs.Span) {
 	})
 }
 
+// The replica's metric families, in exposition order. The gateway's
+// fleet aggregator reads replica scrapes through these declarations.
+var (
+	FamRequests            = obs.Family{Name: "siwa_requests_total", Help: "requests received", Type: "counter", Labels: []string{"endpoint"}}
+	FamAnalyses            = obs.Family{Name: "siwa_analyses_total", Help: "analyses executed (cache misses)", Type: "counter"}
+	FamAnomalous           = obs.Family{Name: "siwa_anomalous_total", Help: "analyses that reported a possible deadlock or stall", Type: "counter"}
+	FamTimeouts            = obs.Family{Name: "siwa_timeouts_total", Help: "analyses aborted by deadline or client disconnect", Type: "counter"}
+	FamRequestErrors       = obs.Family{Name: "siwa_request_errors_total", Help: "requests rejected before analysis", Type: "counter"}
+	FamShed                = obs.Family{Name: "siwa_shed_total", Help: "analyses rejected because the admission queue was full", Type: "counter"}
+	FamDeadlineShed        = obs.Family{Name: "siwa_deadline_shed_total", Help: "requests refused because the propagated deadline budget was below the floor", Type: "counter"}
+	FamPanics              = obs.Family{Name: "siwa_panics_total", Help: "panics recovered in pipeline stages, handlers, or batch items", Type: "counter"}
+	FamDegraded            = obs.Family{Name: "siwa_degraded_total", Help: "analyses that fell back to the polynomial verdict", Type: "counter"}
+	FamBatchItems          = obs.Family{Name: "siwa_batch_items_total", Help: "per-program outcomes inside batch requests", Type: "counter", Labels: []string{"outcome"}}
+	FamCacheHits           = obs.Family{Name: "siwa_cache_hits_total", Help: "result cache hits", Type: "counter"}
+	FamCacheMisses         = obs.Family{Name: "siwa_cache_misses_total", Help: "result cache misses", Type: "counter"}
+	FamCacheEvictions      = obs.Family{Name: "siwa_cache_evictions_total", Help: "result cache LRU evictions", Type: "counter"}
+	FamCacheEntries        = obs.Family{Name: "siwa_cache_entries", Help: "result cache current entries", Type: "gauge"}
+	FamStageCacheHits      = obs.Family{Name: "siwa_stage_cache_hits_total", Help: "stage cache hits (memoized pipeline artifacts)", Type: "counter"}
+	FamStageCacheMisses    = obs.Family{Name: "siwa_stage_cache_misses_total", Help: "stage cache misses", Type: "counter"}
+	FamStageCacheEvictions = obs.Family{Name: "siwa_stage_cache_evictions_total", Help: "stage cache byte-budget evictions", Type: "counter"}
+	FamStageCacheBuilds    = obs.Family{Name: "siwa_stage_cache_builds_total", Help: "stage cache artifact builds (single-flighted: at most one per distinct key while resident)", Type: "counter"}
+	FamStageCacheBytes     = obs.Family{Name: "siwa_stage_cache_bytes", Help: "stage cache resident artifact bytes", Type: "gauge"}
+	FamStageCacheEntries   = obs.Family{Name: "siwa_stage_cache_entries", Help: "stage cache current entries", Type: "gauge"}
+	FamInFlight            = obs.Family{Name: "siwa_inflight_requests", Help: "requests currently being served", Type: "gauge"}
+	FamWorkers             = obs.Family{Name: "siwa_workers", Help: "worker pool concurrency bound", Type: "gauge"}
+	FamWorkersBusy         = obs.Family{Name: "siwa_workers_busy", Help: "worker pool slots in use", Type: "gauge"}
+	FamQueueDepth          = obs.Family{Name: "siwa_queue_depth", Help: "admission queue capacity", Type: "gauge"}
+	FamQueued              = obs.Family{Name: "siwa_queued", Help: "admitted analyses waiting for a worker slot", Type: "gauge"}
+	FamHTTPRequestSeconds  = obs.Family{Name: "siwa_http_request_seconds", Help: "request wall time by endpoint", Type: "histogram", Labels: []string{"endpoint"}}
+	FamStageSeconds        = obs.Family{Name: "siwa_analyze_stage_seconds", Help: "pipeline stage time from traced analyses", Type: "histogram", Labels: []string{"stage"}}
+)
+
 // WriteTo renders every counter, histogram, and the cache and pool gauges
 // in Prometheus text format, plus the trace-exporter counters and Go
 // runtime telemetry. Families and label sets are emitted in a fixed order
@@ -110,51 +142,45 @@ func (m *Metrics) ObserveSpans(root *obs.Span) {
 func (m *Metrics) WriteTo(w io.Writer, cache *Cache, stage *siwa.StageCache, pool *Pool, exporter *obs.Exporter) {
 	cs := cache.Stats()
 	ss := stage.Stats() // nil-safe: zeros when the stage cache is disabled
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP siwa_requests_total requests received\n# TYPE siwa_requests_total counter\n")
-	fmt.Fprintf(w, "siwa_requests_total{endpoint=%q} %d\n", "analyze", m.RequestsAnalyze.Load())
-	fmt.Fprintf(w, "siwa_requests_total{endpoint=%q} %d\n", "batch", m.RequestsBatch.Load())
-	counter("siwa_analyses_total", "analyses executed (cache misses)", m.Analyses.Load())
-	counter("siwa_anomalous_total", "analyses that reported a possible deadlock or stall", m.Anomalous.Load())
-	counter("siwa_timeouts_total", "analyses aborted by deadline or client disconnect", m.Timeouts.Load())
-	counter("siwa_request_errors_total", "requests rejected before analysis", m.Errors.Load())
-	counter("siwa_shed_total", "analyses rejected because the admission queue was full", m.Shed.Load())
-	counter("siwa_deadline_shed_total", "requests refused because the propagated deadline budget was below the floor", m.DeadlineShed.Load())
-	counter("siwa_panics_total", "panics recovered in pipeline stages, handlers, or batch items", m.Panics.Load())
-	counter("siwa_degraded_total", "analyses that fell back to the polynomial verdict", m.Degraded.Load())
-	fmt.Fprintf(w, "# HELP siwa_batch_items_total per-program outcomes inside batch requests\n# TYPE siwa_batch_items_total counter\n")
+	FamRequests.Head(w)
+	FamRequests.Sample(w, m.RequestsAnalyze.Load(), "analyze")
+	FamRequests.Sample(w, m.RequestsBatch.Load(), "batch")
+	FamAnalyses.Write(w, m.Analyses.Load())
+	FamAnomalous.Write(w, m.Anomalous.Load())
+	FamTimeouts.Write(w, m.Timeouts.Load())
+	FamRequestErrors.Write(w, m.Errors.Load())
+	FamShed.Write(w, m.Shed.Load())
+	FamDeadlineShed.Write(w, m.DeadlineShed.Load())
+	FamPanics.Write(w, m.Panics.Load())
+	FamDegraded.Write(w, m.Degraded.Load())
+	FamBatchItems.Head(w)
 	for i, name := range batchOutcomeNames {
-		fmt.Fprintf(w, "siwa_batch_items_total{outcome=%q} %d\n", name, m.BatchItems[i].Load())
+		FamBatchItems.Sample(w, m.BatchItems[i].Load(), name)
 	}
-	counter("siwa_cache_hits_total", "result cache hits", cs.Hits)
-	counter("siwa_cache_misses_total", "result cache misses", cs.Misses)
-	counter("siwa_cache_evictions_total", "result cache LRU evictions", cs.Evictions)
-	gauge("siwa_cache_entries", "result cache current entries", int64(cs.Entries))
-	counter("siwa_stage_cache_hits_total", "stage cache hits (memoized pipeline artifacts)", ss.Hits)
-	counter("siwa_stage_cache_misses_total", "stage cache misses", ss.Misses)
-	counter("siwa_stage_cache_evictions_total", "stage cache byte-budget evictions", ss.Evictions)
-	counter("siwa_stage_cache_builds_total", "stage cache artifact builds (single-flighted: at most one per distinct key while resident)", ss.Builds)
-	gauge("siwa_stage_cache_bytes", "stage cache resident artifact bytes", ss.Bytes)
-	gauge("siwa_stage_cache_entries", "stage cache current entries", int64(ss.Entries))
-	gauge("siwa_inflight_requests", "requests currently being served", m.InFlight.Load())
-	gauge("siwa_workers", "worker pool concurrency bound", int64(pool.Size()))
-	gauge("siwa_workers_busy", "worker pool slots in use", int64(pool.InFlight()))
-	gauge("siwa_queue_depth", "admission queue capacity", int64(pool.QueueDepth()))
-	gauge("siwa_queued", "admitted analyses waiting for a worker slot", int64(pool.Queued()))
+	FamCacheHits.Write(w, cs.Hits)
+	FamCacheMisses.Write(w, cs.Misses)
+	FamCacheEvictions.Write(w, cs.Evictions)
+	FamCacheEntries.Write(w, cs.Entries)
+	FamStageCacheHits.Write(w, ss.Hits)
+	FamStageCacheMisses.Write(w, ss.Misses)
+	FamStageCacheEvictions.Write(w, ss.Evictions)
+	FamStageCacheBuilds.Write(w, ss.Builds)
+	FamStageCacheBytes.Write(w, ss.Bytes)
+	FamStageCacheEntries.Write(w, ss.Entries)
+	FamInFlight.Write(w, m.InFlight.Load())
+	FamWorkers.Write(w, pool.Size())
+	FamWorkersBusy.Write(w, pool.InFlight())
+	FamQueueDepth.Write(w, pool.QueueDepth())
+	FamQueued.Write(w, pool.Queued())
 	exporter.WriteProm(w, "siwa")
 	obs.WriteRuntimeMetrics(w, "siwa")
 
-	fmt.Fprintf(w, "# HELP siwa_http_request_seconds request wall time by endpoint\n# TYPE siwa_http_request_seconds histogram\n")
+	FamHTTPRequestSeconds.Head(w)
 	for _, ep := range []string{"analyze", "batch"} {
-		m.httpLatency[ep].WriteProm(w, "siwa_http_request_seconds", "endpoint", ep)
+		FamHTTPRequestSeconds.Histogram(w, m.httpLatency[ep], ep)
 	}
 
-	fmt.Fprintf(w, "# HELP siwa_analyze_stage_seconds pipeline stage time from traced analyses\n# TYPE siwa_analyze_stage_seconds histogram\n")
+	FamStageSeconds.Head(w)
 	m.stageMu.Lock()
 	stages := make([]string, 0, len(m.stageLatency))
 	for name := range m.stageLatency {
@@ -167,6 +193,6 @@ func (m *Metrics) WriteTo(w io.Writer, cache *Cache, stage *siwa.StageCache, poo
 	}
 	m.stageMu.Unlock()
 	for i, name := range stages {
-		hs[i].WriteProm(w, "siwa_analyze_stage_seconds", "stage", name)
+		FamStageSeconds.Histogram(w, hs[i], name)
 	}
 }

@@ -60,6 +60,7 @@ func TestMetricsExposition(t *testing.T) {
 		"siwa_timeouts_total":              "counter",
 		"siwa_request_errors_total":        "counter",
 		"siwa_shed_total":                  "counter",
+		"siwa_deadline_shed_total":         "counter",
 		"siwa_panics_total":                "counter",
 		"siwa_degraded_total":              "counter",
 		"siwa_batch_items_total":           "counter",
@@ -98,6 +99,12 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		if strings.Count(body, "# TYPE "+name+" ") != 1 {
 			t.Errorf("TYPE for %s announced more than once", name)
+		}
+	}
+	// Nothing outside the list renders either.
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && families[f[2]] == "" {
+			t.Errorf("undeclared family %s rendered", f[2])
 		}
 	}
 

@@ -62,7 +62,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", s.exporter.ServeList)
-	mux.HandleFunc("GET /debug/traces/{id}", s.exporter.ServeGet)
+	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceGet)
 	if cfg.EnablePprof {
 		// The index route also serves the named profiles (heap,
 		// goroutine, ...) via its trailing slash.

@@ -155,9 +155,9 @@ func (r *BatchResult) appendJSON(dst []byte) []byte {
 		dst = append(dst, `,"error":`...)
 		dst = appendString(dst, r.Error)
 	}
-	if r.ErrorCode != "" {
+	if r.ErrorCode != 0 {
 		dst = append(dst, `,"errorCode":`...)
-		dst = appendString(dst, r.ErrorCode)
+		dst = appendString(dst, r.ErrorCode.String())
 	}
 	return append(dst, '}')
 }

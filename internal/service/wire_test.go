@@ -100,7 +100,7 @@ func randBatch(t *testing.T, rng *rand.Rand) BatchResponse {
 			it.Cached = rng.IntN(2) == 0
 		} else {
 			it.Error = randString(rng)
-			it.ErrorCode = randString(rng)
+			it.ErrorCode = Code(1 + rng.IntN(len(codeNames)-1))
 		}
 	}
 	r.ElapsedMs = randFloat(rng)
@@ -146,8 +146,8 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("float %g: got %s want %s", f, got, want)
 		}
 	}
-	for _, s := range wireStrings {
-		br := BatchResponse{Results: []BatchResult{{ID: s, Error: s, ErrorCode: s}}}
+	for i, s := range wireStrings {
+		br := BatchResponse{Results: []BatchResult{{ID: s, Error: s, ErrorCode: Code(1 + i%(len(codeNames)-1))}}}
 		if got, want := br.AppendJSON(nil), encoderBytes(t, br); !bytes.Equal(got, want) {
 			t.Errorf("string %q: got %s want %s", s, got, want)
 		}

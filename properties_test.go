@@ -86,6 +86,63 @@ func TestQuickFIFOSafety(t *testing.T) {
 	}
 }
 
+// fifoSeed1091 is the program order's TestQuickFIFOPreservesExactBehaviour
+// generator draws at seed 1091. The exact explorer deadlocks it: in the
+// stuck wave {t0 at accept m0, t1 at accept m1, t2 at its first accept
+// m0}, t0 waits on t1 only through the sync edge from t1's send t0.m0 to
+// t0's accept m0, which a FIFO chain ordered across tasks once deleted.
+const fifoSeed1091 = `
+task t0 is
+begin
+  if c5 then
+    accept m0;
+  end if;
+  t2.m1;
+  t1.m1;
+end;
+
+task t1 is
+begin
+  accept m1;
+  t0.m0;
+  accept m0;
+end;
+
+task t2 is
+begin
+  if c1 then
+    t0.m0;
+    if c3 then
+      t0.m1;
+      accept m1;
+    end if;
+  end if;
+  accept m0;
+  accept m0;
+end;
+`
+
+// TestFIFOKeepsSeed1091Deadlock: with the FIFO refinement on, every
+// registered detector still reports the deadlock the exact explorer finds.
+func TestFIFOKeepsSeed1091Deadlock(t *testing.T) {
+	p, err := Parse(fifoSeed1091)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact, err := waves.ExploreProgram(p, waves.Options{}); err != nil || !exact.Deadlock {
+		t.Fatalf("exact explorer: deadlock=%v err=%v, want a deadlock", exact != nil && exact.Deadlock, err)
+	}
+	for _, info := range AlgorithmList() {
+		rep, err := Analyze(p, Options{Algorithm: info.Algorithm, FIFO: true})
+		if err != nil {
+			t.Fatalf("%s: %v", info.Name, err)
+		}
+		if !rep.Deadlock.MayDeadlock {
+			t.Errorf("%s with FIFO certified a program the exact explorer deadlocks", info.Name)
+		}
+	}
+}
+
 // Safety of the constraint-4 certifier end to end: it may never certify a
 // program whose exact exploration deadlocks.
 func TestQuickConstraint4Safety(t *testing.T) {
