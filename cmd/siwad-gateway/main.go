@@ -1,8 +1,8 @@
 // Command siwad-gateway fronts a fleet of siwad-server replicas: it
 // routes each program to the replica that owns its digest on a
-// consistent-hash ring (so replica result caches hit like a single
-// node's), health-checks the fleet, wraps every backend in a circuit
-// breaker, and scatter-gathers batch requests across the ring.
+// consistent-hash ring (so replica caches hit like a single node's),
+// health-checks the fleet, wraps every backend in a circuit breaker,
+// and scatter-gathers batch requests across the ring.
 //
 // Endpoints:
 //

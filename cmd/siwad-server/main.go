@@ -1,6 +1,7 @@
 // Command siwad-server runs the siwa analysis service: a long-running
-// HTTP JSON front end over the Masticola & Ryder detectors with a
-// content-addressed result cache and a bounded worker pool.
+// HTTP JSON front end over the Masticola & Ryder detectors with one
+// content-addressed cache for reports and pipeline artifacts and a
+// bounded worker pool.
 //
 // Endpoints:
 //
@@ -26,11 +27,11 @@
 //	                  disables waiting)
 //	-limits SPEC      per-analysis resource caps as tasks=N,nodes=N,
 //	                  unrolled=N (any subset), or "off" / "default"
-//	-cache N          result cache entries; 0 default (1024), -1 disables
-//	-stage-cache-mb N stage cache byte budget in MiB: memoized pipeline
-//	                  artifacts (parse+unroll, CLG + ordering tables,
-//	                  per-algorithm verdicts) keyed on the source digest;
-//	                  0 default (8), -1 disables
+//	-stage-cache-mb N cache byte budget in MiB: rendered reports keyed on
+//	                  (source, options) and memoized pipeline artifacts
+//	                  (parse+unroll, CLG + ordering tables, per-algorithm
+//	                  verdicts) keyed on the source digest, under one LRU;
+//	                  0 default (8), -1 disables both
 //	-max-body N       request body limit in bytes (default 4 MiB)
 //	-max-batch N      programs per batch request (default 256)
 //	-timeout D        default per-request analysis deadline (default 30s)
@@ -85,8 +86,7 @@ func run(args []string) int {
 	parallelism := fs.Int("parallelism", 1, "sweep workers per analysis (1 = serial, 0 = GOMAXPROCS; the pool already parallelizes across requests)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth before shedding (0 = 4x workers, -1 disables waiting)")
 	limitsSpec := fs.String("limits", "", "per-analysis resource caps: tasks=N,nodes=N,unrolled=N, or off/default (default: default)")
-	cache := fs.Int("cache", 0, "result cache entries (0 = 1024, -1 disables)")
-	stageCacheMB := fs.Int("stage-cache-mb", 0, "stage cache byte budget in MiB (0 = 8, -1 disables)")
+	stageCacheMB := fs.Int("stage-cache-mb", 0, "cache byte budget in MiB for reports and pipeline artifacts (0 = 8, -1 disables)")
 	maxBody := fs.Int64("max-body", 0, "request body limit in bytes (0 = 4 MiB)")
 	maxBatch := fs.Int("max-batch", 0, "programs per batch request (0 = 256)")
 	timeout := fs.Duration("timeout", 0, "default analysis deadline (0 = 30s)")
@@ -131,7 +131,6 @@ func run(args []string) int {
 		Parallelism:    configParallelism(*parallelism),
 		QueueDepth:     *queueDepth,
 		Limits:         limits,
-		CacheEntries:   *cache,
 		StageCacheMB:   *stageCacheMB,
 		MaxBodyBytes:   *maxBody,
 		MaxBatch:       *maxBatch,

@@ -50,16 +50,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req service.BatchRequest
 	if err := service.DecodeJSON(bytes.NewReader(body), &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest,
-			"invalid request body: %v", err)
+		service.WriteError(w, service.CodeInvalidRequest, "invalid request body: %v", err)
 		return
 	}
 	if len(req.Programs) == 0 {
-		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest, "empty batch")
+		service.WriteError(w, service.CodeInvalidRequest, "empty batch")
 		return
 	}
 	if len(req.Programs) > g.cfg.MaxBatch {
-		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest,
+		service.WriteError(w, service.CodeInvalidRequest,
 			"batch of %d exceeds limit %d", len(req.Programs), g.cfg.MaxBatch)
 		return
 	}
@@ -97,7 +96,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results:   results,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
-	g.logRequest(r, "batch", http.StatusOK, start,
+	g.edge.LogRequest(r, "batch", http.StatusOK, start,
 		slog.Int("programs", len(results)),
 		slog.Int("ok", ok),
 		slog.Int("failed", failed),

@@ -28,8 +28,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -232,10 +230,8 @@ type Gateway struct {
 	flights     *flightGroup
 	exporter    *obs.Exporter
 	client      *http.Client
-	handler     http.Handler
+	edge        *service.Edge
 	retryBudget *retryBudget // global retry tokens; nil when disabled
-	reqID       atomic.Uint64
-	draining    atomic.Bool
 }
 
 // New builds a Gateway over cfg.Backends (at least one required).
@@ -280,14 +276,17 @@ func New(cfg Config) (*Gateway, error) {
 		g.backends = append(g.backends, b)
 	}
 	g.metrics = newMetrics(g)
-	sampleN, slow := cfg.TraceSample, cfg.SlowThreshold
-	if sampleN < 0 {
-		sampleN = 0
+	g.exporter = obs.NewExporter(cfg.TraceRing, cfg.TraceSample, cfg.SlowThreshold)
+	g.edge = &service.Edge{
+		Tier:       "gateway",
+		IDFormat:   "gw-%d",
+		LogMessage: "gateway request",
+		Panics:     &g.metrics.Panics,
+		SlowAttrs:  slowRoute,
+		Exporter:   g.exporter,
+		Logger:     cfg.Logger,
+		Grace:      cfg.ShutdownGrace,
 	}
-	if slow < 0 {
-		slow = 0
-	}
-	g.exporter = obs.NewExporter(cfg.TraceRing, sampleN, slow)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", g.handleAnalyze)
 	mux.HandleFunc("POST /v1/analyze/batch", g.handleBatch)
@@ -298,9 +297,7 @@ func New(cfg Config) (*Gateway, error) {
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", g.exporter.ServeList)
 	mux.HandleFunc("GET /debug/traces/{id}", g.handleTraceGet)
-	// Tracing wraps panic recovery so a recovered panic's 500 is observed
-	// by the status recorder and the trace is retained as errored.
-	g.handler = g.withTracing(g.recoverPanics(g.withRequestID(mux)))
+	g.edge.Handle(mux)
 	return g, nil
 }
 
@@ -308,7 +305,7 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) Exporter() *obs.Exporter { return g.exporter }
 
 // Handler returns the gateway's HTTP handler, for mounting or httptest.
-func (g *Gateway) Handler() http.Handler { return g.handler }
+func (g *Gateway) Handler() http.Handler { return g.edge }
 
 // Metrics exposes the live counters (shared, not a snapshot).
 func (g *Gateway) Metrics() *Metrics { return g.metrics }
@@ -322,94 +319,6 @@ func (g *Gateway) BreakerState(i int) BreakerState { return g.backends[i].breake
 
 // BackendUp reports backend i's latest active-probe verdict.
 func (g *Gateway) BackendUp(i int) bool { return g.backends[i].up.Load() }
-
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code service.Code, format string, args ...any) {
-	service.WriteJSON(w, status, service.ErrorResponse{Error: service.ErrorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-		TraceID: w.Header().Get("X-Trace-Id"),
-	}})
-}
-
-// recoverPanics turns a panic on the request goroutine into a structured
-// 500, keeping the gateway serving.
-func (g *Gateway) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			g.metrics.Panics.Add(1)
-			if g.cfg.Logger != nil {
-				g.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "panic recovered",
-					slog.String("endpoint", r.URL.Path),
-					slog.String("panic", fmt.Sprint(rec)),
-					slog.String("stack", string(debug.Stack())))
-			}
-			g.writeError(w, http.StatusInternalServerError, service.CodeInternal,
-				"internal error: %v", rec)
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withRequestID accepts or mints the X-Request-Id, echoes it on the
-// gateway response, and stashes it in the context; the proxy path copies
-// it onto upstream requests so one id traces gateway -> replica.
-func (g *Gateway) withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if !validRequestID(id) {
-			id = "gw-" + strconv.FormatUint(g.reqID.Add(1), 10)
-		}
-		w.Header().Set("X-Request-Id", id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
-	})
-}
-
-// requestIDKey carries the per-request correlation id in the context.
-type requestIDKey struct{}
-
-// requestID returns the correlation id assigned by withRequestID.
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
-// validRequestID mirrors the replica's header hygiene: 1-128 printable
-// ASCII characters, no spaces.
-func validRequestID(id string) bool {
-	if len(id) == 0 || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] <= ' ' || id[i] > '~' {
-			return false
-		}
-	}
-	return true
-}
-
-// logRequest emits one structured record per gateway request.
-func (g *Gateway) logRequest(r *http.Request, endpoint string, status int, start time.Time, attrs ...slog.Attr) {
-	if g.cfg.Logger == nil {
-		return
-	}
-	common := []slog.Attr{
-		slog.String("id", requestID(r.Context())),
-		slog.String("endpoint", endpoint),
-		slog.Int("status", status),
-		slog.Float64("ms", float64(time.Since(start))/float64(time.Millisecond)),
-	}
-	if trace := obs.TraceFromContext(r.Context()).TraceIDString(); trace != "" {
-		common = append(common, slog.String("trace", trace))
-	}
-	g.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "gateway request", append(common, attrs...)...)
-}
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -426,7 +335,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	status, state := http.StatusOK, "ready"
 	switch {
-	case g.draining.Load():
+	case g.edge.Draining():
 		status, state = http.StatusServiceUnavailable, "draining"
 	case eligible == 0:
 		status, state = http.StatusServiceUnavailable, "no backend available"
@@ -461,24 +370,5 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	cctx, stopChecker := context.WithCancel(ctx)
 	defer stopChecker()
 	go g.RunChecker(cctx)
-	hs := &http.Server{
-		Handler:           g.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	g.draining.Store(true)
-	//lint:ignore ctxflow ctx is already done here; the grace window must outlive it to drain in-flight requests
-	sctx, cancel := context.WithTimeout(context.Background(), g.cfg.ShutdownGrace)
-	defer cancel()
-	err := hs.Shutdown(sctx)
-	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-		return serveErr
-	}
-	return err
+	return g.edge.Serve(ctx, ln)
 }

@@ -437,12 +437,10 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			g.writeError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
+			service.WriteError(w, service.CodeTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return nil, err
 		}
-		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest,
-			"read body: %v", err)
+		service.WriteError(w, service.CodeInvalidRequest, "read body: %v", err)
 		return nil, err
 	}
 	return data, nil
@@ -452,16 +450,15 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 // that kept the analysis from being attempted is "unavailable" (the
 // client should back off and retry — the ring will have healed), except a
 // client-side deadline, which stays "timeout".
-func (g *Gateway) writeRouteError(w http.ResponseWriter, err error) (status int, code service.Code) {
+func (g *Gateway) writeRouteError(w http.ResponseWriter, err error) service.Code {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		g.writeError(w, http.StatusServiceUnavailable, service.CodeTimeout,
-			"request aborted: %v", err)
-		return http.StatusServiceUnavailable, service.CodeTimeout
+		service.WriteError(w, service.CodeTimeout, "request aborted: %v", err)
+		return service.CodeTimeout
 	}
 	g.metrics.Unavailable.Add(1)
 	w.Header().Set("Retry-After", "1")
-	g.writeError(w, http.StatusServiceUnavailable, service.CodeUnavailable, "%v", err)
-	return http.StatusServiceUnavailable, service.CodeUnavailable
+	service.WriteError(w, service.CodeUnavailable, "%v", err)
+	return service.CodeUnavailable
 }
 
 func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -479,8 +476,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		TimeoutMs int64  `json:"timeoutMs"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, service.CodeInvalidRequest,
-			"invalid request body: %v", err)
+		service.WriteError(w, service.CodeInvalidRequest, "invalid request body: %v", err)
 		return
 	}
 	rctx := r.Context()
@@ -497,7 +493,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		rctx = withBudget(rctx, time.Now().Add(d))
 	}
 	res, err, shared := g.flights.do(rctx, sha256.Sum256(body), func(ctx context.Context) (*upstream, error) {
-		return g.forward(ctx, DigestOf(req.Source), "/v1/analyze", body, requestID(r.Context()))
+		return g.forward(ctx, DigestOf(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
 	})
 	th := obs.TraceFromContext(r.Context())
 	if shared {
@@ -512,13 +508,13 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 	}
 	if err != nil {
-		status, code := g.writeRouteError(w, err)
-		g.logRequest(r, "analyze", status, start, slog.String("code", code.String()))
+		code := g.writeRouteError(w, err)
+		g.edge.LogRequest(r, "analyze", code.Status(), start, slog.String("code", code.String()))
 		return
 	}
 	th.RootSpan().SetAttr("backend", res.backend)
 	res.relay(w)
-	g.logRequest(r, "analyze", res.status, start,
+	g.edge.LogRequest(r, "analyze", res.status, start,
 		slog.String("backend", res.backend),
 		slog.Bool("deduped", shared))
 }
@@ -531,7 +527,7 @@ func (g *Gateway) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		if !b.eligible() || !b.breaker.Acquire() {
 			continue
 		}
-		res, err := g.send(r.Context(), b, http.MethodGet, "/v1/algorithms", nil, requestID(r.Context()), nil)
+		res, err := g.send(r.Context(), b, http.MethodGet, "/v1/algorithms", nil, service.RequestID(r.Context()), nil)
 		if err != nil {
 			if cerr := r.Context().Err(); cerr != nil {
 				// The client went away, not the fleet: report the cancel,

@@ -8,8 +8,8 @@ import (
 )
 
 // Digest is the routing key for one program: the SHA-256 of its source
-// text. It is the same content address the replica result cache hashes
-// (the replica folds options into its cache key on top), so routing by
+// text. It is the same content address the replica's cache keys stage
+// artifacts on (report keys fold the options in on top), so routing by
 // Digest sends every option-variant of one program to the replica that
 // already holds its results — near-perfect cache affinity.
 type Digest [sha256.Size]byte

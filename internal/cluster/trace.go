@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -13,86 +12,24 @@ import (
 	"repro/internal/service"
 )
 
-// statusRecorder captures the response status for the trace exporter's
-// retention decision.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(b)
-}
-
-// withTracing opens the gateway's root span per API request — this is
-// where fleet traces are usually born, so the head-sampling decision is
-// made here and propagated to the replicas via the traceparent flags. An
-// inbound traceparent (a client already tracing) is continued instead.
-// X-Trace-Id is echoed, and the finished tree goes to the debug ring.
-func (g *Gateway) withTracing(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		tracer := obs.NewTracer()
-		var sampled bool
-		if tid, parent, remoteSampled, ok := obs.ExtractTraceparent(r.Header); ok {
-			tracer.SetRemote(tid, parent)
-			sampled = remoteSampled
-		} else {
-			sampled = g.exporter.SampleNext()
-		}
-		root := tracer.Start("gateway " + r.URL.Path)
-		th := &obs.TraceHandle{Tracer: tracer, Root: root, Sampled: sampled}
-		w.Header().Set("X-Trace-Id", root.TraceID.String())
-		sr := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			root.End()
-			g.exporter.Export(root, sampled, sr.status)
-			g.logSlowRequest(r, root, w.Header().Get("X-Request-Id"))
-		}()
-		next.ServeHTTP(sr, r.WithContext(obs.ContextWithTrace(r.Context(), th)))
-	})
-}
-
-// logSlowRequest emits the gateway's slow-request WARN line: trace id,
-// backend, and the route/retry/chunk breakdown of where the time went.
-func (g *Gateway) logSlowRequest(r *http.Request, root *obs.Span, requestID string) {
-	slow := g.exporter.SlowThreshold()
-	if slow <= 0 || root == nil || root.Dur < slow || g.cfg.Logger == nil {
-		return
-	}
+// slowRoute appends the gateway's slow-request attrs: the retry count,
+// the backend that answered, and the route/retry/chunk breakdown of where
+// the time went.
+func slowRoute(attrs []slog.Attr, root *obs.Span) []slog.Attr {
 	retries := 0
 	for _, c := range root.Children {
 		if c.Name == "retry" {
 			retries++
 		}
 	}
-	attrs := []slog.Attr{
-		slog.String("trace", root.TraceID.String()),
-		slog.String("id", requestID),
-		slog.String("endpoint", r.URL.Path),
-		slog.Float64("ms", float64(root.Dur)/float64(time.Millisecond)),
-		slog.Int("retries", retries),
-	}
+	attrs = append(attrs, slog.Int("retries", retries))
 	if backend := root.Attr("backend"); backend != "" {
 		attrs = append(attrs, slog.String("backend", backend))
 	}
 	if breakdown := root.ChildSummary(); breakdown != "" {
 		attrs = append(attrs, slog.String("spans", breakdown))
 	}
-	g.cfg.Logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request", attrs...)
+	return attrs
 }
 
 // handleTraceGet serves GET /debug/traces/{id} with cross-process

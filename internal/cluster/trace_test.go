@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strings"
@@ -221,6 +222,38 @@ func TestGatewayTraceparentContinuation(t *testing.T) {
 	if lookup.Records[0].Root.ParentSpanID != parent.String() {
 		t.Fatalf("gateway root parent %q, want client span %q",
 			lookup.Records[0].Root.ParentSpanID, parent)
+	}
+}
+
+// TestGatewaySamplingDisabled: a negative TraceSample turns head sampling
+// off and a negative SlowThreshold turns the slow path off, so a healthy
+// request leaves no trace in the gateway's ring and no WARN line, while
+// an errored one is still retained.
+func TestGatewaySamplingDisabled(t *testing.T) {
+	var buf bytes.Buffer
+	f := newFleet(t, 1, service.Config{})
+	_, gts := newTestGateway(t, f.urls, Config{
+		TraceSample:   -1,
+		SlowThreshold: -1,
+		Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	resp, data := postJSON(t, gts.URL+"/v1/analyze", service.AnalyzeRequest{Source: workload.Ring(4).String()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	if code, body := getBody(t, gts.URL+"/debug/traces/"+id); code != http.StatusNotFound {
+		t.Fatalf("unsampled healthy trace retained: %d %s", code, body)
+	}
+	resp, _ = postJSON(t, gts.URL+"/v1/analyze", json.RawMessage(`{"source":"task a is begin end;","optoins":{}}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status=%d, want 400", resp.StatusCode)
+	}
+	if rec := fetchTrace(t, gts.URL, resp.Header.Get("X-Trace-Id")).Records[0]; rec.Reason != obs.RetainError {
+		t.Fatalf("errored trace retained as %q, want %q", rec.Reason, obs.RetainError)
+	}
+	if strings.Contains(buf.String(), "slow request") {
+		t.Fatalf("WARN emitted with slow logging disabled:\n%s", buf.String())
 	}
 }
 

@@ -189,7 +189,8 @@ func (p *Program) Validate() error {
 	}
 	for _, pr := range p.Procs {
 		// Sends inside procedures must still target real tasks; the
-		// enclosing-task self-call check applies only after inlining.
+		// self-call check needs the calling task, so validateProcs runs
+		// it per task through the calls.
 		if err := validateStmts(&Task{Name: ""}, pr.Body, names); err != nil {
 			return err
 		}

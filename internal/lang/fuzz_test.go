@@ -77,6 +77,8 @@ func FuzzParse(f *testing.F) {
 func FuzzInline(f *testing.F) {
 	f.Add("procedure p is begin s.m; end; task a is begin call p; end; task s is begin accept m; end;")
 	f.Add("procedure p is begin call q; end; procedure q is begin null; end; task a is begin call p; call p; end;")
+	// A self-send reached through a call must fail Parse, not inlining.
+	f.Add("procedure A is begin a.A; end; task a is begin call A; end; task A is begin null; end;")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)
 		if err != nil {

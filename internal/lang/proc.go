@@ -65,8 +65,9 @@ func (p *Program) procByName(name string) *Proc {
 	return nil
 }
 
-// validateProcs checks that calls resolve and that the procedure call
-// graph is acyclic (no recursion).
+// validateProcs checks that calls resolve, that the procedure call graph
+// is acyclic (no recursion), and that no task reaches a send to itself
+// through its calls.
 func (p *Program) validateProcs() error {
 	// Resolve call targets in tasks and procedures.
 	var check func(where string, ss []Stmt) error
@@ -159,6 +160,44 @@ func (p *Program) validateProcs() error {
 			if err := visit(pr.Name); err != nil {
 				return err
 			}
+		}
+	}
+	for _, t := range p.Tasks {
+		if err := p.checkSelfSends(t, t.Body, map[string]bool{}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkSelfSends reports a send to task t in ss or in any procedure that
+// ss reaches through calls, as inlining into t would produce it. seen
+// holds the procedures already scanned for t: each is scanned once,
+// however many call sites reach it, so a chain of procedures that each
+// call the next twice costs linear time, not the exponential size of its
+// inlining. Calls must already resolve.
+func (p *Program) checkSelfSends(t *Task, ss []Stmt, seen map[string]bool) error {
+	for _, s := range ss {
+		var err error
+		switch v := s.(type) {
+		case *Send:
+			if v.Target == t.Name {
+				return fmt.Errorf("lang: task %s at %s: task cannot call its own entry %q", t.Name, v.Pos, v.Msg)
+			}
+		case *Call:
+			if !seen[v.Name] {
+				seen[v.Name] = true
+				err = p.checkSelfSends(t, p.procByName(v.Name).Body, seen)
+			}
+		case *If:
+			if err = p.checkSelfSends(t, v.Then, seen); err == nil {
+				err = p.checkSelfSends(t, v.Else, seen)
+			}
+		case *Loop:
+			err = p.checkSelfSends(t, v.Body, seen)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,13 @@ task a is begin null; end;`, "duplicate procedure"},
 		{"bad send in proc", `
 procedure p is begin nosuch.m; end;
 task a is begin call p; end;`, "unknown task"},
+		{"self send through call",
+			"procedure A is begin a.A; end; task a is begin call A; end; task A is begin null; end;",
+			`lang: task a at 1:22: task cannot call its own entry "A"`},
+		{"self send through nested call", `
+procedure p is begin if c then call q; end if; end;
+procedure q is begin loop 2 times a.m; end loop; end;
+task a is begin accept m; call p; end;`, `lang: task a at 3:35: task cannot call its own entry "m"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -200,5 +208,23 @@ end;
 	}
 	if got := q.CountRendezvous(); got != 2+3 {
 		t.Fatalf("rendezvous=%d", got)
+	}
+}
+
+// TestSelfSendCheckScansEachProcOnce validates a chain of procedures that
+// each call the next one twice: inlining it would copy the last body 2^60
+// times, but the self-send check scans each procedure once per task.
+func TestSelfSendCheckScansEachProcOnce(t *testing.T) {
+	const n = 60
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "procedure p%d is begin call p%d; call p%d; end;\n", i, i+1, i+1)
+	}
+	fmt.Fprintf(&b, "procedure p%d is begin a.m; end;\n", n)
+	b.WriteString("task a is begin accept m; call p0; end;\n")
+	_, err := Parse(b.String())
+	want := fmt.Sprintf(`lang: task a at %d:24: task cannot call its own entry "m"`, n+1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
 	}
 }

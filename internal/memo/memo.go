@@ -1,7 +1,7 @@
-// Package memo is the replica-level stage cache: a content-addressed,
-// byte-budgeted LRU over expensive pipeline artifacts, with a built-in
-// compute single-flight so N concurrent misses on one key build the
-// artifact exactly once.
+// Package memo is the replica's one cache: a content-addressed,
+// byte-budgeted LRU over expensive pipeline artifacts and the reports
+// rendered from them, with a built-in compute single-flight so N
+// concurrent misses on one key build the artifact exactly once.
 //
 // The paper's pipeline is strictly staged — parse → Lemma-1 unroll →
 // sync graph → CLG + ordering tables → detector sweep — and everything

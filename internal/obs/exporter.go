@@ -114,9 +114,9 @@ type Exporter struct {
 }
 
 // NewExporter builds an exporter retaining up to ringSize traces,
-// head-sampling 1 in sampleN new traces (0 disables sampling, 1 samples
-// everything), and always retaining requests at least slow long (0
-// disables the slow path).
+// head-sampling 1 in sampleN new traces (0 or negative disables sampling,
+// 1 samples everything), and always retaining requests at least slow
+// long (0 or negative disables the slow path).
 func NewExporter(ringSize, sampleN int, slow time.Duration) *Exporter {
 	if ringSize <= 0 {
 		ringSize = 64
@@ -129,7 +129,7 @@ func NewExporter(ringSize, sampleN int, slow time.Duration) *Exporter {
 	}
 }
 
-// SlowThreshold returns the configured slow-request threshold (0 = off).
+// SlowThreshold returns the configured slow-request threshold (<= 0 = off).
 func (e *Exporter) SlowThreshold() time.Duration {
 	if e == nil {
 		return 0

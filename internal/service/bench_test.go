@@ -12,7 +12,8 @@ import (
 
 // The cache-hit/miss pair quantifies the content-addressed cache's win on
 // a workload.Pipeline(8, 4) program: a hit is one SHA-256 plus an LRU
-// lookup, a miss pays parse + unroll + sync graph + detection.
+// lookup, a miss (caching disabled) pays parse + unroll + sync graph +
+// detection.
 func benchAnalyze(b *testing.B, cfg Config) {
 	b.Helper()
 	s := New(cfg)
@@ -40,12 +41,12 @@ func benchAnalyze(b *testing.B, cfg Config) {
 }
 
 func BenchmarkServiceCacheHit(b *testing.B)  { benchAnalyze(b, Config{}) }
-func BenchmarkServiceCacheMiss(b *testing.B) { benchAnalyze(b, Config{CacheEntries: -1}) }
+func BenchmarkServiceCacheMiss(b *testing.B) { benchAnalyze(b, Config{StageCacheMB: -1}) }
 
 // The traced variant bounds the tracer's cost against CacheMiss: every
 // analysis records the full span tree and feeds the stage histograms.
 func BenchmarkServiceCacheMissTraced(b *testing.B) {
-	benchAnalyze(b, Config{CacheEntries: -1, TraceAll: true})
+	benchAnalyze(b, Config{StageCacheMB: -1, TraceAll: true})
 }
 
 // The untraced variant turns the trace exporter fully off (no sampling,

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
@@ -90,116 +88,4 @@ func canonicalize(opt siwa.Options) siwa.Options {
 	opt.Degrade = false
 	opt.StageCache = nil
 	return opt
-}
-
-// CachedResult is one cache value: the marshalled JSONReport (without any
-// span tree) plus the verdict summary, kept alongside so request logs can
-// name the outcome of a cache hit without re-parsing the report.
-type CachedResult struct {
-	Report  json.RawMessage
-	Verdict string
-}
-
-// CacheStats is a point-in-time snapshot of the cache counters.
-type CacheStats struct {
-	Entries   int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// Cache is a bounded LRU over analysis results, keyed by content address.
-// Values hold the marshalled JSONReport bytes, immutable by construction,
-// so hits can be served to concurrent clients without copying. The
-// methods are safe for concurrent use. A nil *Cache never hits and never
-// stores, so a disabled cache needs no call-site branching.
-type Cache struct {
-	mu        sync.Mutex
-	max       int
-	ll        *list.List
-	items     map[CacheKey]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type cacheEntry struct {
-	key CacheKey
-	val CachedResult
-}
-
-// NewCache returns an LRU cache holding at most max entries (max >= 1).
-func NewCache(max int) *Cache {
-	if max < 1 {
-		max = 1
-	}
-	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[CacheKey]*list.Element, max),
-	}
-}
-
-// Get returns the cached result for key and records a hit or miss.
-func (c *Cache) Get(key CacheKey) (CachedResult, bool) {
-	if c == nil {
-		return CachedResult{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return CachedResult{}, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// Put stores a result under key, evicting the least recently used entry
-// when full. Storing an existing key refreshes its recency.
-func (c *Cache) Put(key CacheKey, val CachedResult) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-}
-
-// Stats snapshots the counters.
-func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:   c.ll.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
-}
-
-// Len reports the current entry count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -113,56 +112,5 @@ func TestKeyAllocs(t *testing.T) {
 	Key(src, opt) // warm the buffer pool
 	if avg := testing.AllocsPerRun(100, func() { Key(src, opt) }); avg > 0 {
 		t.Errorf("Key allocates %.1f objects per call, want 0", avg)
-	}
-}
-
-func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
-	k1, k2, k3 := Key("a", siwa.Options{}), Key("b", siwa.Options{}), Key("c", siwa.Options{})
-	if _, ok := c.Get(k1); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put(k1, CachedResult{Report: json.RawMessage(`1`)})
-	c.Put(k2, CachedResult{Report: json.RawMessage(`2`)})
-	if v, ok := c.Get(k1); !ok || string(v.Report) != "1" {
-		t.Fatalf("k1: %q %v", v.Report, ok)
-	}
-	// k1 is now most recent; inserting k3 must evict k2.
-	c.Put(k3, CachedResult{Report: json.RawMessage(`3`)})
-	if _, ok := c.Get(k2); ok {
-		t.Error("k2 survived eviction")
-	}
-	if _, ok := c.Get(k1); !ok {
-		t.Error("k1 was evicted despite being most recently used")
-	}
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Errorf("stats: %+v", st)
-	}
-	if st.Hits != 2 || st.Misses != 2 {
-		t.Errorf("hit/miss counts: %+v", st)
-	}
-	// Re-putting an existing key refreshes, not grows.
-	c.Put(k1, CachedResult{Report: json.RawMessage(`11`)})
-	if c.Len() != 2 {
-		t.Errorf("len=%d after refresh", c.Len())
-	}
-	if v, _ := c.Get(k1); string(v.Report) != "11" {
-		t.Errorf("refresh lost: %q", v.Report)
-	}
-}
-
-func TestNilCacheIsDisabled(t *testing.T) {
-	var c *Cache
-	k := Key("x", siwa.Options{})
-	c.Put(k, CachedResult{Report: json.RawMessage(`1`)})
-	if _, ok := c.Get(k); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("nil cache stats: %+v", st)
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache has entries")
 	}
 }

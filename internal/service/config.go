@@ -1,8 +1,11 @@
 // Package service implements the siwa analysis service: a concurrent HTTP
-// JSON front end over siwa.AnalyzeContext with a content-addressed result
-// cache, a bounded worker pool, per-request deadlines, plain-text metrics,
-// and graceful shutdown. It is the long-running counterpart to the
-// one-shot siwad CLI; cmd/siwad-server wires it to flags and signals.
+// JSON front end over siwa.AnalyzeSourceContext with one content-addressed,
+// byte-budgeted cache for rendered reports and pipeline artifacts, a
+// bounded worker pool, per-request deadlines, plain-text metrics, and
+// graceful shutdown. Its Edge (tracing, request ids, panic containment,
+// request log, drain) also fronts the cluster gateway. It is the
+// long-running counterpart to the one-shot siwad CLI; cmd/siwad-server
+// wires it to flags and signals.
 package service
 
 import (
@@ -41,21 +44,19 @@ type Config struct {
 	// value means siwa.DefaultLimits(); set fields negative to lift
 	// individual limits.
 	Limits siwa.Limits
-	// CacheEntries caps the result cache. 0 means 1024; negative disables
-	// caching entirely (every request is analyzed from scratch).
-	CacheEntries int
-	// StageCacheMB caps the stage cache in MiB: a replica-level,
-	// content-addressed cache of pipeline artifacts (parsed+unrolled
-	// programs, sync graph with CLG and ordering tables, per-algorithm
-	// verdicts, stall balances) keyed on the source digest and shared by
-	// all requests. Unlike the result cache — which only hits on an exact
-	// (source, options) repeat — the stage cache makes a warm source
-	// asked for a *different* algorithm run only that detector sweep.
-	// 0 means 8 MiB; negative disables the stage cache. The default is
-	// small on purpose: the budget only has to hold a source's artifacts
+	// StageCacheMB caps the replica's one cache in MiB: a content-addressed,
+	// byte-budgeted LRU shared by all requests. It holds the rendered
+	// reports, which answer an exact (source, options) repeat without
+	// analysis, and the pipeline artifacts they were built from
+	// (parsed+unrolled programs, sync graph with CLG and ordering tables,
+	// per-algorithm verdicts, stall balances) keyed on the source digest,
+	// which let a warm source asked for a *different* algorithm run only
+	// that detector sweep. 0 means 8 MiB; negative disables caching
+	// entirely (every request is analyzed from scratch). The default is
+	// small on purpose: the budget only has to hold a source's entries
 	// until its next question, and every byte beyond that fills with the
-	// artifacts of sources asked once, which the heap then keeps. Raise
-	// it for traffic that returns to a source after many others.
+	// entries of sources asked once, which the heap then keeps. Raise it
+	// for traffic that returns to a source after many others.
 	StageCacheMB int
 	// MaxBodyBytes caps the request body; larger requests get HTTP 413.
 	// 0 means 4 MiB.
@@ -127,9 +128,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Limits == (siwa.Limits{}) {
 		c.Limits = siwa.DefaultLimits()
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
 	}
 	if c.StageCacheMB == 0 {
 		c.StageCacheMB = 8

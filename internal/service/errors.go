@@ -66,6 +66,27 @@ var codeNames = [...]string{
 	CodeNotFound:       "not_found",
 }
 
+// Status returns the HTTP status that every response carrying c is sent
+// with; a value outside the set is an internal error.
+func (c Code) Status() int {
+	switch c {
+	case CodeInvalidRequest:
+		return http.StatusBadRequest
+	case CodeParseError, CodeResourceLimit:
+		return http.StatusUnprocessableEntity
+	case CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
+	case CodeShed:
+		return http.StatusTooManyRequests
+	case CodeTimeout, CodeUnavailable:
+		return http.StatusServiceUnavailable
+	case CodeNotFound:
+		return http.StatusNotFound
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
 // String returns the code's wire spelling.
 func (c Code) String() string {
 	if int(c) < len(codeNames) {
@@ -108,39 +129,38 @@ type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// codedError pins an explicit (status, code) onto an error at the point
-// where the classification is known — e.g. a siwa.Parse failure is a
-// parse_error even though the library returns a plain error.
+// codedError pins an explicit code onto an error at the point where the
+// classification is known — e.g. an injected fault is internal even
+// though it arrives as a plain error.
 type codedError struct {
-	status int
-	code   Code
-	err    error
+	code Code
+	err  error
 }
 
 func (e *codedError) Error() string { return e.err.Error() }
 func (e *codedError) Unwrap() error { return e.err }
 
-// classify maps an analysis-path error onto (HTTP status, error code).
-// Typed errors win; the fallback is parse_error because the remaining
-// untyped failures are program-semantics rejections (validation).
-func classify(err error) (int, Code) {
+// classify maps an analysis-path error onto its error code. Typed errors
+// win; the fallback is parse_error because the remaining untyped failures
+// are program-semantics rejections (validation).
+func classify(err error) Code {
 	var ce *codedError
 	if errors.As(err, &ce) {
-		return ce.status, ce.code
+		return ce.code
 	}
 	if errors.Is(err, ErrShed) {
-		return http.StatusTooManyRequests, CodeShed
+		return CodeShed
 	}
 	if isCancellation(err) {
-		return http.StatusServiceUnavailable, CodeTimeout
+		return CodeTimeout
 	}
 	var re *siwa.ResourceError
 	if errors.As(err, &re) {
-		return http.StatusUnprocessableEntity, CodeResourceLimit
+		return CodeResourceLimit
 	}
 	var ie *siwa.InternalError
 	if errors.As(err, &ie) {
-		return http.StatusInternalServerError, CodeInternal
+		return CodeInternal
 	}
-	return http.StatusUnprocessableEntity, CodeParseError
+	return CodeParseError
 }

@@ -9,24 +9,10 @@ import (
 	"time"
 )
 
-// documentedStatus is the HTTP status errors.go documents for each code.
-var documentedStatus = map[Code]int{
-	CodeInvalidRequest: http.StatusBadRequest,
-	CodeParseError:     http.StatusUnprocessableEntity,
-	CodeTooLarge:       http.StatusRequestEntityTooLarge,
-	CodeTimeout:        http.StatusServiceUnavailable,
-	CodeShed:           http.StatusTooManyRequests,
-	CodeResourceLimit:  http.StatusUnprocessableEntity,
-	CodeInternal:       http.StatusInternalServerError,
-	CodeUnavailable:    http.StatusServiceUnavailable,
-	CodeNotFound:       http.StatusNotFound,
-}
-
 // FuzzAnalyzeHandler sends each input as the body of both analyze
 // endpoints. Whatever the bytes, a non-200 answer must be an error body
-// with a code from the taxonomy, sent with the status errors.go documents
-// for that code, and a 200 batch must decode with every item's code in
-// the taxonomy too.
+// with a code from the taxonomy, sent with that code's Status, and a 200
+// batch must decode with every item's code in the taxonomy too.
 func FuzzAnalyzeHandler(f *testing.F) {
 	for _, seed := range []string{
 		`{"source":"task a is begin b.m; accept m; end; task b is begin a.m; accept m; end;"}`,
@@ -60,8 +46,8 @@ func FuzzAnalyzeHandler(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Code == 0 {
 				t.Fatalf("%s: status %d with a body that is no coded error (%v):\n%s", path, rec.Code, err, rec.Body)
 			}
-			if want := documentedStatus[er.Error.Code]; rec.Code != want {
-				t.Fatalf("%s: code %s sent with status %d, documented %d", path, er.Error.Code, rec.Code, want)
+			if want := er.Error.Code.Status(); rec.Code != want {
+				t.Fatalf("%s: code %s sent with status %d, want %d", path, er.Error.Code, rec.Code, want)
 			}
 		}
 	})

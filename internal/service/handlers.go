@@ -124,29 +124,25 @@ type BatchResponse struct {
 	ElapsedMs float64       `json:"elapsedMs"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, code Code, format string, args ...any) {
+// writeError writes a request error and counts it under
+// siwa_request_errors_total.
+func (s *Server) writeError(w http.ResponseWriter, code Code, format string, args ...any) {
 	s.metrics.Errors.Add(1)
-	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-		TraceID: w.Header().Get("X-Trace-Id"),
-	}})
+	WriteError(w, code, format, args...)
 }
 
 // decodeBody decodes the request body into v under the configured size
-// limit, reporting (status, code, error) on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, Code, error) {
+// limit, reporting (code, error) on failure.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (Code, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := DecodeJSON(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+			return CodeTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
 		}
-		return http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Errorf("invalid request body: %v", err)
+		return CodeInvalidRequest, fmt.Errorf("invalid request body: %v", err)
 	}
-	return 0, 0, nil
+	return 0, nil
 }
 
 func isCancellation(err error) bool {
@@ -178,19 +174,41 @@ type analyzeOutcome struct {
 	trace    *siwa.JSONSpan
 }
 
-// analyzeOne serves one (source, options) pair: result-cache lookup,
-// then a pool-bounded siwa.AnalyzeSourceContext run whose marshalled
-// report is stored back under the content address. A result-cache miss
-// still consults the stage cache inside the pipeline — a warm source
-// asked for new options reuses every already-built artifact and runs
-// only the missing suffix. When wantTrace (or Config.TraceAll) is set
-// and the analysis actually runs, the pipeline is traced: stage
+// reportEntry is the cache entry for one rendered report, stored under
+// "rp:" + its content address: the marshalled JSONReport (without any
+// span tree) plus the verdict summary, kept alongside so request logs
+// can name the outcome of a hit without re-parsing the report.
+type reportEntry struct {
+	report  json.RawMessage
+	verdict string
+}
+
+// SizeBytes charges the report, the verdict, the "rp:" key and a fixed
+// overhead for the entry's bookkeeping.
+func (e *reportEntry) SizeBytes() int64 {
+	return int64(len(e.report)+len(e.verdict)+len("rp:")+len(CacheKey{})) + 128
+}
+
+// analyzeOne serves one (source, options) pair: a report lookup in the
+// replica's cache, then a pool-bounded siwa.AnalyzeSourceContext run
+// whose marshalled report is stored back under the content address. A
+// report miss still consults the same cache inside the pipeline — a warm
+// source asked for new options reuses every already-built artifact and
+// runs only the missing suffix. When wantTrace (or Config.TraceAll) is
+// set and the analysis actually runs, the pipeline is traced: stage
 // durations feed the siwa_analyze_stage_seconds histograms, and the span
 // tree is returned (to the requester only) outside the cached report.
 func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options, wantTrace bool) (analyzeOutcome, error) {
-	key := Key(source, opt)
-	if res, ok := s.cache.Get(key); ok {
-		return analyzeOutcome{report: res.Report, verdict: res.Verdict, cached: true}, nil
+	var rk string // the report's cache key; unused when caching is off
+	if s.cache != nil {
+		key := Key(source, opt)
+		rk = "rp:" + string(key[:])
+		if e, ok := s.cache.Get(rk); ok {
+			s.metrics.CacheHits.Add(1)
+			rp := e.(*reportEntry)
+			return analyzeOutcome{report: rp.report, verdict: rp.verdict, cached: true}, nil
+		}
+		s.metrics.CacheMisses.Add(1)
 	}
 	opt.Trace = wantTrace || s.cfg.TraceAll
 	// A sampled request's pipeline records into the request tracer, so
@@ -201,19 +219,19 @@ func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options
 		opt.Tracer = th.Tracer // implies Trace
 		opt.Trace = true
 	}
-	// Limits, Parallelism, Degrade and the stage cache are service policy,
-	// not part of the content address: limits only turn requests into
-	// errors (never cached), parallelism never changes verdicts, degraded
-	// reports are timing-dependent (also never cached), and the stage
-	// cache changes where artifacts come from, not what they are.
+	// Limits, Parallelism, Degrade and the cache are service policy, not
+	// part of the content address: limits only turn requests into errors
+	// (never cached), parallelism never changes verdicts, degraded reports
+	// are timing-dependent (also never cached), and the cache changes
+	// where artifacts come from, not what they are.
 	opt.Limits = s.cfg.Limits
 	opt.Parallelism = s.cfg.Parallelism
-	opt.StageCache = s.stageCache
+	opt.StageCache = s.cache
 	var out analyzeOutcome
 	var runErr error
 	err := s.pool.Do(ctx, func() {
 		if ferr := fault.Inject("service.analyze"); ferr != nil {
-			runErr = &codedError{http.StatusInternalServerError, CodeInternal, ferr}
+			runErr = &codedError{CodeInternal, ferr}
 			return
 		}
 		// Parse errors surface untyped and classify() maps them to HTTP
@@ -250,7 +268,7 @@ func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options
 		if !rep.Degraded {
 			// A degraded report reflects this run's deadline, not the
 			// program: a retry with more headroom deserves the full result.
-			s.cache.Put(key, CachedResult{Report: b, Verdict: out.verdict})
+			s.cache.Put(rk, &reportEntry{report: b, verdict: out.verdict})
 		}
 	})
 	if err != nil {
@@ -276,53 +294,28 @@ func isInternal(err error) bool {
 	return errors.As(err, &ie)
 }
 
-// logRequest emits one structured record per request when logging is
-// configured. attrs supplements the common fields (request id, endpoint,
-// status, duration).
-func (s *Server) logRequest(r *http.Request, id string, endpoint string, status int, start time.Time, attrs ...slog.Attr) {
-	if s.cfg.Logger == nil {
-		return
-	}
-	common := []slog.Attr{
-		slog.String("id", id),
-		slog.String("endpoint", endpoint),
-		slog.Int("status", status),
-		slog.Float64("ms", float64(time.Since(start))/float64(time.Millisecond)),
-	}
-	if trace := obs.TraceFromContext(r.Context()).TraceIDString(); trace != "" {
-		common = append(common, slog.String("trace", trace))
-	}
-	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request", append(common, attrs...)...)
-}
-
-// nextRequestID mints a process-unique request id, used when a request
-// arrives without an acceptable X-Request-Id of its own.
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("req-%06d", s.reqID.Add(1))
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RequestsAnalyze.Add(1)
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 	start := time.Now()
 	defer func() { s.metrics.ObserveRequest("analyze", time.Since(start)) }()
-	id := RequestID(r.Context())
+	reject := func(code Code, err error) {
+		s.writeError(w, code, "%v", err)
+		s.edge.LogRequest(r, "analyze", code.Status(), start, slog.String("error", err.Error()))
+	}
 	var req AnalyzeRequest
-	if status, code, err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, status, code, "%v", err)
-		s.logRequest(r, id, "analyze", status, start, slog.String("error", err.Error()))
+	if code, err := s.decodeBody(w, r, &req); err != nil {
+		reject(code, err)
 		return
 	}
 	if req.Source == "" {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, "missing source")
-		s.logRequest(r, id, "analyze", http.StatusBadRequest, start, slog.String("error", "missing source"))
+		reject(CodeInvalidRequest, errors.New("missing source"))
 		return
 	}
 	opt, err := req.Options.resolve()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
-		s.logRequest(r, id, "analyze", http.StatusBadRequest, start, slog.String("error", err.Error()))
+		reject(CodeInvalidRequest, err)
 		return
 	}
 	algo := opt.Algorithm.String()
@@ -330,13 +323,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	th.RootSpan().SetAttr("algorithm", algo)
 	d, err := s.cfg.timeoutFor(req.TimeoutMs)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
-		s.logRequest(r, id, "analyze", http.StatusBadRequest, start, slog.String("error", err.Error()))
+		reject(CodeInvalidRequest, err)
 		return
 	}
 	d, shed := s.cfg.deadlineBudget(r, d)
 	if shed {
-		s.shedDeadline(w, r, id, "analyze", start)
+		s.shedDeadline(w, r, "analyze", start)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -354,30 +346,28 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 			Trace:     out.trace,
 		})
-		s.logRequest(r, id, "analyze", http.StatusOK, start,
+		s.edge.LogRequest(r, "analyze", http.StatusOK, start,
 			slog.String("algorithm", algo),
 			slog.Bool("cached", out.cached),
 			slog.String("verdict", out.verdict))
 		return
 	}
-	status, code := classify(err)
-	msg := err.Error()
+	code := classify(err)
 	switch code {
 	case CodeTimeout:
 		// Timeouts and sheds are load conditions, not client errors: they
 		// count under their own metrics, not siwa_request_errors_total.
 		s.metrics.Timeouts.Add(1)
 		s.setRetryAfter(w)
-		msg = fmt.Sprintf("analysis aborted: %v", err)
-		WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
+		WriteError(w, code, "analysis aborted: %v", err)
 	case CodeShed:
 		s.metrics.Shed.Add(1)
 		s.setRetryAfter(w)
-		WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg, TraceID: w.Header().Get("X-Trace-Id")}})
+		WriteError(w, code, "%v", err)
 	default:
-		s.writeError(w, status, code, "%s", msg)
+		s.writeError(w, code, "%v", err)
 	}
-	s.logRequest(r, id, "analyze", status, start,
+	s.edge.LogRequest(r, "analyze", code.Status(), start,
 		slog.String("algorithm", algo),
 		slog.String("code", code.String()),
 		slog.String("error", err.Error()))
@@ -389,33 +379,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.InFlight.Add(-1)
 	start := time.Now()
 	defer func() { s.metrics.ObserveRequest("batch", time.Since(start)) }()
-	id := RequestID(r.Context())
+	reject := func(code Code, err error) {
+		s.writeError(w, code, "%v", err)
+		s.edge.LogRequest(r, "batch", code.Status(), start, slog.String("error", err.Error()))
+	}
 	var req BatchRequest
-	if status, code, err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, status, code, "%v", err)
-		s.logRequest(r, id, "batch", status, start, slog.String("error", err.Error()))
+	if code, err := s.decodeBody(w, r, &req); err != nil {
+		reject(code, err)
 		return
 	}
 	if len(req.Programs) == 0 {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, "empty batch")
-		s.logRequest(r, id, "batch", http.StatusBadRequest, start, slog.String("error", "empty batch"))
+		reject(CodeInvalidRequest, errors.New("empty batch"))
 		return
 	}
 	if len(req.Programs) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
-			"batch of %d exceeds limit %d", len(req.Programs), s.cfg.MaxBatch)
-		s.logRequest(r, id, "batch", http.StatusBadRequest, start, slog.String("error", "batch too large"))
+		s.writeError(w, CodeInvalidRequest, "batch of %d exceeds limit %d", len(req.Programs), s.cfg.MaxBatch)
+		s.edge.LogRequest(r, "batch", CodeInvalidRequest.Status(), start, slog.String("error", "batch too large"))
 		return
 	}
 	d, err := s.cfg.timeoutFor(req.TimeoutMs)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
-		s.logRequest(r, id, "batch", http.StatusBadRequest, start, slog.String("error", err.Error()))
+		reject(CodeInvalidRequest, err)
 		return
 	}
 	d, shed := s.cfg.deadlineBudget(r, d)
 	if shed {
-		s.shedDeadline(w, r, id, "batch", start)
+		s.shedDeadline(w, r, "batch", start)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
@@ -467,7 +456,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}()
 			out, err := s.analyzeOne(ctx, source, opt, false)
 			if err != nil {
-				_, code := classify(err)
+				code := classify(err)
 				switch code {
 				case CodeTimeout:
 					s.metrics.Timeouts.Add(1)
@@ -513,7 +502,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			failed++
 		}
 	}
-	s.logRequest(r, id, "batch", http.StatusOK, start,
+	s.edge.LogRequest(r, "batch", http.StatusOK, start,
 		slog.Int("programs", len(results)),
 		slog.Int("cached", cached),
 		slog.Int("failed", failed))
@@ -556,7 +545,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // synchronously, so any server reachable over HTTP is fully up. The
 // cluster gateway's health checker consumes this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.edge.Draining() {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -570,14 +559,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // computing a result nobody is waiting for. Counted separately from real
 // timeouts (siwa_deadline_shed_total) so dashboards can tell "we were
 // slow" from "we refused work that was already dead on arrival".
-func (s *Server) shedDeadline(w http.ResponseWriter, r *http.Request, id, endpoint string, start time.Time) {
+func (s *Server) shedDeadline(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) {
 	s.metrics.DeadlineShed.Add(1)
-	WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: ErrorBody{
-		Code:    CodeTimeout,
-		Message: fmt.Sprintf("deadline budget %sms below admission floor %v", r.Header.Get(DeadlineHeader), s.cfg.DeadlineFloor),
-		TraceID: w.Header().Get("X-Trace-Id"),
-	}})
-	s.logRequest(r, id, endpoint, http.StatusServiceUnavailable, start,
+	WriteError(w, CodeTimeout, "deadline budget %sms below admission floor %v", r.Header.Get(DeadlineHeader), s.cfg.DeadlineFloor)
+	s.edge.LogRequest(r, endpoint, CodeTimeout.Status(), start,
 		slog.String("code", CodeTimeout.String()),
 		slog.String("error", "deadline budget below floor"))
 }
@@ -610,5 +595,5 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteTo(w, s.cache, s.stageCache, s.pool, s.exporter)
+	s.metrics.WriteTo(w, s.cache, s.pool, s.exporter)
 }

@@ -35,6 +35,8 @@ type Metrics struct {
 	RequestsAnalyze atomic.Uint64 // POST /v1/analyze requests
 	RequestsBatch   atomic.Uint64 // POST /v1/analyze/batch requests
 	Analyses        atomic.Uint64 // analyses actually executed (cache misses that ran)
+	CacheHits       atomic.Uint64 // report lookups answered from the cache
+	CacheMisses     atomic.Uint64 // report lookups that went on to analyze
 	Anomalous       atomic.Uint64 // completed analyses that found an anomaly
 	Timeouts        atomic.Uint64 // analyses aborted by deadline or disconnect
 	Errors          atomic.Uint64 // requests rejected (parse, validation, body size)
@@ -118,14 +120,12 @@ var (
 	FamBatchItems          = obs.Family{Name: "siwa_batch_items_total", Help: "per-program outcomes inside batch requests", Type: "counter", Labels: []string{"outcome"}}
 	FamCacheHits           = obs.Family{Name: "siwa_cache_hits_total", Help: "result cache hits", Type: "counter"}
 	FamCacheMisses         = obs.Family{Name: "siwa_cache_misses_total", Help: "result cache misses", Type: "counter"}
-	FamCacheEvictions      = obs.Family{Name: "siwa_cache_evictions_total", Help: "result cache LRU evictions", Type: "counter"}
-	FamCacheEntries        = obs.Family{Name: "siwa_cache_entries", Help: "result cache current entries", Type: "gauge"}
-	FamStageCacheHits      = obs.Family{Name: "siwa_stage_cache_hits_total", Help: "stage cache hits (memoized pipeline artifacts)", Type: "counter"}
-	FamStageCacheMisses    = obs.Family{Name: "siwa_stage_cache_misses_total", Help: "stage cache misses", Type: "counter"}
-	FamStageCacheEvictions = obs.Family{Name: "siwa_stage_cache_evictions_total", Help: "stage cache byte-budget evictions", Type: "counter"}
-	FamStageCacheBuilds    = obs.Family{Name: "siwa_stage_cache_builds_total", Help: "stage cache artifact builds (single-flighted: at most one per distinct key while resident)", Type: "counter"}
-	FamStageCacheBytes     = obs.Family{Name: "siwa_stage_cache_bytes", Help: "stage cache resident artifact bytes", Type: "gauge"}
-	FamStageCacheEntries   = obs.Family{Name: "siwa_stage_cache_entries", Help: "stage cache current entries", Type: "gauge"}
+	FamStageCacheHits      = obs.Family{Name: "siwa_stage_cache_hits_total", Help: "cache hits (rendered reports and memoized pipeline artifacts)", Type: "counter"}
+	FamStageCacheMisses    = obs.Family{Name: "siwa_stage_cache_misses_total", Help: "cache misses (reports and artifacts)", Type: "counter"}
+	FamStageCacheEvictions = obs.Family{Name: "siwa_stage_cache_evictions_total", Help: "cache byte-budget evictions (reports and artifacts)", Type: "counter"}
+	FamStageCacheBuilds    = obs.Family{Name: "siwa_stage_cache_builds_total", Help: "cache artifact builds (single-flighted: at most one per distinct key while resident)", Type: "counter"}
+	FamStageCacheBytes     = obs.Family{Name: "siwa_stage_cache_bytes", Help: "cache resident bytes (reports and artifacts)", Type: "gauge"}
+	FamStageCacheEntries   = obs.Family{Name: "siwa_stage_cache_entries", Help: "cache current entries (reports and artifacts)", Type: "gauge"}
 	FamInFlight            = obs.Family{Name: "siwa_inflight_requests", Help: "requests currently being served", Type: "gauge"}
 	FamWorkers             = obs.Family{Name: "siwa_workers", Help: "worker pool concurrency bound", Type: "gauge"}
 	FamWorkersBusy         = obs.Family{Name: "siwa_workers_busy", Help: "worker pool slots in use", Type: "gauge"}
@@ -139,9 +139,8 @@ var (
 // in Prometheus text format, plus the trace-exporter counters and Go
 // runtime telemetry. Families and label sets are emitted in a fixed order
 // so the exposition is reproducible.
-func (m *Metrics) WriteTo(w io.Writer, cache *Cache, stage *siwa.StageCache, pool *Pool, exporter *obs.Exporter) {
-	cs := cache.Stats()
-	ss := stage.Stats() // nil-safe: zeros when the stage cache is disabled
+func (m *Metrics) WriteTo(w io.Writer, cache *siwa.StageCache, pool *Pool, exporter *obs.Exporter) {
+	ss := cache.Stats() // nil-safe: zeros when caching is disabled
 	FamRequests.Head(w)
 	FamRequests.Sample(w, m.RequestsAnalyze.Load(), "analyze")
 	FamRequests.Sample(w, m.RequestsBatch.Load(), "batch")
@@ -157,10 +156,8 @@ func (m *Metrics) WriteTo(w io.Writer, cache *Cache, stage *siwa.StageCache, poo
 	for i, name := range batchOutcomeNames {
 		FamBatchItems.Sample(w, m.BatchItems[i].Load(), name)
 	}
-	FamCacheHits.Write(w, cs.Hits)
-	FamCacheMisses.Write(w, cs.Misses)
-	FamCacheEvictions.Write(w, cs.Evictions)
-	FamCacheEntries.Write(w, cs.Entries)
+	FamCacheHits.Write(w, m.CacheHits.Load())
+	FamCacheMisses.Write(w, m.CacheMisses.Load())
 	FamStageCacheHits.Write(w, ss.Hits)
 	FamStageCacheMisses.Write(w, ss.Misses)
 	FamStageCacheEvictions.Write(w, ss.Evictions)

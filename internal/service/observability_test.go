@@ -66,8 +66,6 @@ func TestMetricsExposition(t *testing.T) {
 		"siwa_batch_items_total":           "counter",
 		"siwa_cache_hits_total":            "counter",
 		"siwa_cache_misses_total":          "counter",
-		"siwa_cache_evictions_total":       "counter",
-		"siwa_cache_entries":               "gauge",
 		"siwa_stage_cache_hits_total":      "counter",
 		"siwa_stage_cache_misses_total":    "counter",
 		"siwa_stage_cache_evictions_total": "counter",

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -118,4 +119,47 @@ func TestStageCacheDisabled(t *testing.T) {
 	if st := s.StageCacheStats(); st != (siwa.StageCacheStats{}) {
 		t.Fatalf("disabled stage cache reported activity: %+v", st)
 	}
+}
+
+// TestOneBudgetCoversReports pins the one cache per replica: rendered
+// reports live in the stage cache under its byte budget, so once enough
+// distinct programs have overflowed that budget, the first program's
+// report is gone with its artifacts and a repeat analyzes afresh, while
+// the resident bytes never exceed the budget.
+func TestOneBudgetCoversReports(t *testing.T) {
+	const budget = 1 << 20
+	s, ts := newTestServer(t, Config{StageCacheMB: 1})
+	// A trailing comment changes the digest, not the analysis.
+	src := func(i int) string { return fmt.Sprintf("%s-- program %d\n", workload.Pipeline(8, 4), i) }
+	req := func(i int) AnalyzeRequest {
+		return AnalyzeRequest{Source: src(i), Options: &WireOptions{Algorithm: "pairs"}}
+	}
+	// Analyze until the budget first overflows, then as many programs
+	// again, so at least a full budget of newer entries follows the first
+	// program's.
+	n := 0
+	for s.StageCacheStats().Evictions == 0 {
+		if n++; n > 4096 {
+			t.Fatalf("%d programs never overflowed the budget: %+v", n, s.StageCacheStats())
+		}
+		if code, _, _ := analyze(t, ts.URL, req(n)); code != http.StatusOK {
+			t.Fatalf("program %d: status %d", n, code)
+		}
+	}
+	for i := n + 1; i <= 2*n; i++ {
+		if code, _, _ := analyze(t, ts.URL, req(i)); code != http.StatusOK {
+			t.Fatalf("program %d: status %d", i, code)
+		}
+	}
+	if st := s.StageCacheStats(); st.Bytes > budget {
+		t.Fatalf("resident bytes %d exceed the %d-byte budget", st.Bytes, budget)
+	}
+	code, ar, _ := analyze(t, ts.URL, req(1))
+	if code != http.StatusOK || ar.Cached {
+		t.Fatalf("first program after %d others: status=%d cached=%v, want a fresh analysis", 2*n-1, code, ar.Cached)
+	}
+	if st := s.StageCacheStats(); st.Bytes > budget {
+		t.Fatalf("resident bytes %d exceed the %d-byte budget", st.Bytes, budget)
+	}
+	t.Logf("budget overflowed after %d programs", n)
 }

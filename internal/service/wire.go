@@ -17,10 +17,10 @@ import (
 // pooled buffer so Content-Length is known before the status line goes
 // out. The analyze and batch success bodies render themselves by
 // appending around report bytes that were marshalled once, when the
-// analysis ran (and that the result cache stores): a cache hit, a batch
-// item or a gateway merge splices those bytes instead of re-encoding
-// them. Everything else, error bodies included, goes through
-// json.Encoder.
+// analysis ran (and that the replica's cache stores under "rp:"): a
+// cache hit, a batch item or a gateway merge splices those bytes instead
+// of re-encoding them. Everything else, error bodies included, goes
+// through json.Encoder.
 
 // jsonAppender is implemented by bodies that render themselves without
 // reflection. AppendJSON must append exactly what json.Marshal produces

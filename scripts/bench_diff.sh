@@ -42,8 +42,8 @@ SETTINGS="-cpu $CPU -benchtime $BENCHTIME (service $SERVICE_BENCHTIME) -count $C
 
 # The pinned hot paths: end-to-end analysis, the parse and sync-graph
 # stages, analyzer construction (CLG, ordering facts and hypothesis
-# tables), the stage cache's warm/cold pair, the service result cache,
-# and the pooled JSON response writer.
+# tables), the stage cache's warm/cold pair, a report served from the
+# replica's cache, and the pooled JSON response writer.
 PIN_ROOT='^(BenchmarkEndToEndAnalyze|BenchmarkParse$|BenchmarkSyncGraphBuild|BenchmarkOrderingFacts|BenchmarkStageCacheWarmSecondAlgorithm)'
 PIN_SERVICE='^(BenchmarkServiceCacheHit$|BenchmarkWriteJSON)'
 
