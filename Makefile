@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: all build test race vet fmt lint lint-ignores bench bench-json bench-baseline bench-diff pgo build-pgo fuzz experiments examples server gateway smoke clean
+.PHONY: all build test race vet fmt lint lint-ignores bench bench-diff fuzz experiments examples server gateway smoke clean
 
 all: build vet lint test
 
@@ -65,33 +65,12 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Machine-readable benchmark record: the whole suite as go test -json
-# events in BENCH_<date>.json. BENCHTIME=1x gives a fast smoke run.
-BENCHTIME ?= 1s
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json ./... > BENCH_$$(date +%Y%m%d).json
-
-# Committed baseline for bench-diff: the pinned hot-path benchmarks only,
-# recorded by the same commands (and -cpu 2) that bench-diff runs fresh,
-# headed by the settings, Go version and CPU model.
-bench-baseline:
-	bash scripts/bench_diff.sh -record
-
-# Fail if any pinned hot-path benchmark regressed >15% vs the baseline.
+# Paired performance gate: build the pinned hot-path benchmarks at HEAD^
+# and in the working tree, run the two builds alternately on this host,
+# and fail if any pin's median per-round ratio exceeds 1.15
+# (scripts/bench_diff.sh HEAD gates uncommitted work).
 bench-diff:
 	bash scripts/bench_diff.sh
-
-# Profile-guided optimization: profile the hot-path benchmarks and merge
-# the CPU profiles into default.pgo, consumed by `go build -pgo=default.pgo`.
-pgo:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEndToEndAnalyze|BenchmarkParse$$|BenchmarkSyncGraphBuild|BenchmarkStageCacheWarmSecondAlgorithm)' -benchtime=50x -cpuprofile=cpu.root.prof .
-	$(GO) test -run='^$$' -bench='^(BenchmarkServiceCacheHit$$|BenchmarkWriteJSON)' -benchtime=200x -cpuprofile=cpu.service.prof ./internal/service
-	$(GO) tool pprof -proto cpu.root.prof cpu.service.prof > default.pgo
-	rm -f cpu.root.prof cpu.service.prof repro.test service.test
-
-# Verify the committed PGO profile still drives a clean build.
-build-pgo:
-	$(GO) build -pgo=default.pgo -ldflags "$(LDFLAGS)" ./...
 
 # Short fuzzing pass over the parser, inliner, whole pipeline and the
 # replica's analyze handlers.

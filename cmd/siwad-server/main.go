@@ -40,8 +40,6 @@
 //	                  admitting; below it requests are shed outright and
 //	                  counted in siwa_deadline_shed_total (default 5ms)
 //	-log MODE         request logging: text, json, or off (default text)
-//	-trace            trace every analysis, feeding the per-stage latency
-//	                  histograms (requests can still opt in per-call)
 //	-trace-sample N   head-sample 1 in N traces into /debug/traces (default
 //	                  1 = every trace; 0 disables sampling — slow, degraded
 //	                  and errored requests are always retained)
@@ -94,7 +92,6 @@ func run(args []string) int {
 	deadlineFloor := fs.Duration("deadline-floor", 0, "smallest propagated deadline budget worth admitting (0 = 5ms)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain budget")
 	logMode := fs.String("log", "text", "request logging: text, json, or off")
-	trace := fs.Bool("trace", false, "trace every analysis into the per-stage latency histograms")
 	traceSample := fs.Int("trace-sample", 1, "head-sample 1 in N traces into /debug/traces (0 disables sampling)")
 	slowMS := fs.Int("slow-ms", 1000, "slow-request threshold in ms for WARN logging and trace retention (0 disables)")
 	traceRing := fs.Int("trace-ring", 256, "retained-trace ring capacity")
@@ -140,7 +137,6 @@ func run(args []string) int {
 		ShutdownGrace:  *grace,
 		Logger:         logger,
 		EnablePprof:    *enablePprof,
-		TraceAll:       *trace,
 		TraceSample:    zeroDisables(*traceSample),
 		SlowThreshold:  time.Duration(zeroDisables(*slowMS)) * time.Millisecond,
 		TraceRing:      *traceRing,

@@ -21,7 +21,6 @@ import (
 // verdict is deep-equal to the serial one before timing.
 //
 // Run: go test -bench=ParallelSweep -benchmem ./internal/core
-// (or `make bench-json` at the repo root for the committed baseline).
 
 func crossRingAnalyzer(b *testing.B, parallelism int) *Analyzer {
 	b.Helper()

@@ -123,9 +123,9 @@ func ExtractTraceparent(h http.Header) (t TraceID, s SpanID, sampled, ok bool) {
 // TraceHandle is one request's live trace state, carried through the
 // request context so handlers, proxies, and the analysis pipeline all
 // record into the same tree. Sampled is the head decision made where the
-// trace was born (and propagated via the traceparent flags): it controls
-// detailed tracing and default retention; slow or errored requests are
-// retained regardless.
+// trace was born (and propagated via the traceparent flags): it decides
+// retention only, since every request records its spans; slow, degraded
+// or errored requests are retained regardless.
 type TraceHandle struct {
 	Tracer  *Tracer
 	Root    *Span

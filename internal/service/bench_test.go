@@ -43,12 +43,6 @@ func benchAnalyze(b *testing.B, cfg Config) {
 func BenchmarkServiceCacheHit(b *testing.B)  { benchAnalyze(b, Config{}) }
 func BenchmarkServiceCacheMiss(b *testing.B) { benchAnalyze(b, Config{StageCacheMB: -1}) }
 
-// The traced variant bounds the tracer's cost against CacheMiss: every
-// analysis records the full span tree and feeds the stage histograms.
-func BenchmarkServiceCacheMissTraced(b *testing.B) {
-	benchAnalyze(b, Config{StageCacheMB: -1, TraceAll: true})
-}
-
 // The untraced variant turns the trace exporter fully off (no sampling,
 // no slow retention, no export). Comparing against BenchmarkServiceCacheHit
 // — which exports every request at the default sample rate — bounds the

@@ -296,6 +296,42 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestHandlerFaultPointScope arms the replica's service.handler point as
+// a panic. It fires on the analyze routes only, inside the request-id
+// layer: probes and metrics stay up, and the analyze 500 echoes the
+// client's request id and is counted as a recovered panic.
+func TestHandlerFaultPointScope(t *testing.T) {
+	defer fault.Reset()
+	fault.Set("service.handler", fault.Mode{Kind: fault.KindPanic})
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
+		if code, body := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Fatalf("GET %s: status=%d body=%s", path, code, body)
+		}
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	before := metricValue(t, body, "siwa_panics_total")
+	resp := postRaw(t, ts.URL+"/v1/analyze", analyzeBody(t, workload.Ring(3).String()),
+		map[string]string{"X-Request-Id": "corr-1"})
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
+	}
+	if eb := decodeError(t, data); eb.Code != CodeInternal {
+		t.Fatalf("code=%q", eb.Code)
+	}
+	if id := resp.Header.Get("X-Request-Id"); id != "corr-1" {
+		t.Fatalf("X-Request-Id=%q, want corr-1", id)
+	}
+	_, body = getBody(t, ts.URL+"/metrics")
+	if after := metricValue(t, body, "siwa_panics_total"); after != before+1 {
+		t.Fatalf("siwa_panics_total %d -> %d, want +1", before, after)
+	}
+}
+
 // TestBatchPanicDoesNotKillProcess injects panics into batch-item
 // goroutines, which bypass the HTTP middleware entirely: only the
 // per-item recovery stands between the fault and os.Exit(2).

@@ -84,10 +84,6 @@ type Config struct {
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
 	// Off by default: the profiling surface is opt-in.
 	EnablePprof bool
-	// TraceAll traces every executed analysis (not just requests that ask
-	// with "trace": true), feeding the per-stage latency histograms. The
-	// span tree is still only echoed to requests that opted in.
-	TraceAll bool
 	// TraceSample is the head-sampling rate: 1 in N new traces is marked
 	// sampled (retained in the debug ring even when fast and healthy).
 	// Slow, degraded, and errored requests are retained regardless of the

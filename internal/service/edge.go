@@ -30,8 +30,10 @@ type Edge struct {
 	IDFormat string
 	// LogMessage is the message of the per-request log record.
 	LogMessage string
-	// FaultPoint, when set, is injected before each request reaches the
-	// routes; an armed fault answers 500 internal.
+	// FaultPoint, when set, is injected on the analyze routes
+	// (/v1/analyze and /v1/analyze/batch) after the request id is set, so
+	// an armed fault answers 500 internal carrying the request's id while
+	// probes, metrics and debug routes stay up.
 	FaultPoint string
 	// Panics counts the panics the edge recovers.
 	Panics *atomic.Uint64
@@ -168,12 +170,6 @@ func (e *Edge) recoverPanics(next http.Handler) http.Handler {
 			// the usual case (panic before any write) gets a clean 500.
 			WriteError(w, CodeInternal, "internal error: %v", rec)
 		}()
-		if e.FaultPoint != "" {
-			if err := fault.Inject(e.FaultPoint); err != nil {
-				WriteError(w, CodeInternal, "%v", err)
-				return
-			}
-		}
 		next.ServeHTTP(w, r)
 	})
 }
@@ -216,6 +212,12 @@ func (e *Edge) withRequestID(next http.Handler) http.Handler {
 			id = fmt.Sprintf(e.IDFormat, e.ids.Add(1))
 		}
 		w.Header().Set("X-Request-Id", id)
+		if e.FaultPoint != "" && (r.URL.Path == "/v1/analyze" || r.URL.Path == "/v1/analyze/batch") {
+			if err := fault.Inject(e.FaultPoint); err != nil {
+				WriteError(w, CodeInternal, "%v", err)
+				return
+			}
+		}
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 	})
 }

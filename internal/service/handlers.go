@@ -70,8 +70,8 @@ func (wo *WireOptions) resolve() (siwa.Options, error) {
 }
 
 // AnalyzeRequest is the POST /v1/analyze body. Trace asks the service to
-// run the analysis with pipeline tracing and echo the span tree in the
-// response; it never changes the report or its cache key.
+// echo the executed analysis's span tree in the response; it never
+// changes the report, its cache key or what the replica records.
 type AnalyzeRequest struct {
 	Source    string       `json:"source"`
 	Options   *WireOptions `json:"options,omitempty"`
@@ -194,10 +194,11 @@ func (e *reportEntry) SizeBytes() int64 {
 // whose marshalled report is stored back under the content address. A
 // report miss still consults the same cache inside the pipeline — a warm
 // source asked for new options reuses every already-built artifact and
-// runs only the missing suffix. When wantTrace (or Config.TraceAll) is
-// set and the analysis actually runs, the pipeline is traced: stage
-// durations feed the siwa_analyze_stage_seconds histograms, and the span
-// tree is returned (to the requester only) outside the cached report.
+// runs only the missing suffix. Every analysis that runs records into the
+// request's trace, sampled or not: its stage durations feed the
+// siwa_analyze_stage_seconds histograms and the slow-request line.
+// wantTrace only decides whether the span tree is returned (to the
+// requester only) outside the cached report.
 func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options, wantTrace bool) (analyzeOutcome, error) {
 	var rk string // the report's cache key; unused when caching is off
 	if s.cache != nil {
@@ -210,14 +211,12 @@ func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options
 		}
 		s.metrics.CacheMisses.Add(1)
 	}
-	opt.Trace = wantTrace || s.cfg.TraceAll
-	// A sampled request's pipeline records into the request tracer, so
-	// the per-stage spans become children of the request root (and, via
-	// traceparent, of the gateway's span). Requests that explicitly asked
-	// to trace join the request tree too, even when head sampling said no.
-	if th := obs.TraceFromContext(ctx); th != nil && (th.Sampled || opt.Trace) {
+	// The pipeline records into the request tracer, so the per-stage spans
+	// become children of the request root (and, via traceparent, of the
+	// gateway's span).
+	opt.Trace = wantTrace
+	if th := obs.TraceFromContext(ctx); th != nil {
 		opt.Tracer = th.Tracer // implies Trace
-		opt.Trace = true
 	}
 	// Limits, Parallelism, Degrade and the cache are service policy, not
 	// part of the content address: limits only turn requests into errors

@@ -56,8 +56,8 @@ type Metrics struct {
 	httpLatency map[string]*obs.Histogram
 
 	// stageLatency measures per-pipeline-stage time, keyed by span name
-	// ("sync-graph", "clg", "detect:refined", ...). Stages appear as they
-	// are first observed, which only happens on traced analyses.
+	// ("sync-graph", "clg", "detect:refined", ...). Every executed analysis
+	// is traced, sampled or not; stages appear as they are first observed.
 	stageMu      sync.Mutex
 	stageLatency map[string]*obs.Histogram
 }
@@ -132,7 +132,7 @@ var (
 	FamQueueDepth          = obs.Family{Name: "siwa_queue_depth", Help: "admission queue capacity", Type: "gauge"}
 	FamQueued              = obs.Family{Name: "siwa_queued", Help: "admitted analyses waiting for a worker slot", Type: "gauge"}
 	FamHTTPRequestSeconds  = obs.Family{Name: "siwa_http_request_seconds", Help: "request wall time by endpoint", Type: "histogram", Labels: []string{"endpoint"}}
-	FamStageSeconds        = obs.Family{Name: "siwa_analyze_stage_seconds", Help: "pipeline stage time from traced analyses", Type: "histogram", Labels: []string{"stage"}}
+	FamStageSeconds        = obs.Family{Name: "siwa_analyze_stage_seconds", Help: "pipeline stage time of executed analyses", Type: "histogram", Labels: []string{"stage"}}
 )
 
 // WriteTo renders every counter, histogram, and the cache and pool gauges

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,6 +298,41 @@ func TestSlowWarnDisabled(t *testing.T) {
 	if strings.Contains(buf.String(), "slow request") {
 		t.Fatalf("WARN emitted with slow logging disabled:\n%s", buf.String())
 	}
+}
+
+// TestStageTimingWithoutSampling: head sampling decides retention only.
+// With sampling off, an executed analysis still records its stage spans,
+// so the stage histograms count it and the slow-request line carries the
+// per-stage breakdown.
+func TestStageTimingWithoutSampling(t *testing.T) {
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&lockedWriter{mu: &mu, w: &buf}, nil))
+	_, ts := newTestServer(t, Config{
+		Logger:        logger,
+		TraceSample:   -1,
+		SlowThreshold: time.Nanosecond,
+		StageCacheMB:  -1,
+	})
+	if code, _, _ := analyze(t, ts.URL, AnalyzeRequest{Source: workload.Ring(4).String()}); code != http.StatusOK {
+		t.Fatalf("analyze status=%d", code)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if got := metricValue(t, body, `siwa_analyze_stage_seconds_count{stage="total"}`); got != 1 {
+		t.Fatalf("stage total count=%d, want 1", got)
+	}
+	waitFor(t, "slow-request line with stages", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "slow request" {
+				stages, _ := rec["stages"].(string)
+				return strings.Contains(stages, "detect:naive=")
+			}
+		}
+		return false
+	})
 }
 
 // TestRequestLogCarriesTrace: the per-request INFO line includes the

@@ -304,7 +304,7 @@ func TestEntryPointsRunSameStages(t *testing.T) {
 // pipeline — parse, unroll, sync graph, CLG and ordering tables, stall
 // balance, then the sweep; warm reuses every cached artifact and executes
 // only the new detector sweep. The warm path is expected to be >= 5x
-// faster (scripts/bench_diff.sh tracks the ratio).
+// faster; scripts/bench_diff.sh gates each half against the base build.
 func BenchmarkStageCacheWarmSecondAlgorithm(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := workload.DefaultConfig()

@@ -1,44 +1,42 @@
 #!/usr/bin/env bash
-# bench_diff.sh — guard the hot paths against performance regressions.
+# bench_diff.sh — paired performance gate for the pinned hot paths.
 #
-# Runs the pinned hot-path benchmarks fresh, extracts ns/op, and compares
-# each against the committed baseline record, BENCH_baseline.json. Exits 1
-# if any pinned benchmark regressed by more than THRESHOLD percent
-# (default 15), and 2 if the baseline is missing or was recorded with
-# different settings. With -record it (re)writes the baseline instead, so
-# the baseline and every fresh run come from the same commands.
+# Builds the pinned benchmarks twice on this host: once for a base
+# revision, checked out in a temporary git worktree, and once for the
+# working tree. It then runs the two builds alternately, round by round,
+# and compares each pin's ns/op within each round. Exits 1 if any pin's
+# median per-round ratio (change over base) exceeds 1 + THRESHOLD/100
+# (default 15), and 2 on a usage, build or benchmark error.
 #
 # Usage:
-#   scripts/bench_diff.sh [baseline.json]       compare (make bench-diff)
-#   scripts/bench_diff.sh -record [out.json]    record (make bench-baseline)
+#   scripts/bench_diff.sh [rev]          rev defaults to HEAD^ (make bench-diff)
+#   scripts/bench_diff.sh HEAD           gate uncommitted work
 #   THRESHOLD=20 scripts/bench_diff.sh
 #
-# A record is a `go test -json` event stream headed by two output events:
-# the settings (GOMAXPROCS via -cpu, benchtime, count), which must match
-# for a comparison to run, and the host (Go version, CPU model), which is
-# informational. Benchmarks present fresh but absent from the baseline
-# are reported as new and do not fail the check; each side uses its best
-# (minimum) ns/op so scheduler noise biases toward stability, and the
-# threshold absorbs the rest.
+# In a GitHub pull-request checkout HEAD is the merge commit, whose first
+# parent is the target branch tip, so HEAD^ gates the pull request; on a
+# push HEAD^ is the previous commit.
+#
+# Both sides are built with -trimpath, so one commit built from two
+# directories gives identical binaries. Each round runs every pin's base
+# and change binaries back to back, COUNT times each, each from its own
+# package directory, swapping which side goes first on every run; a
+# side's figure for a round is its best run. A pinned benchmark the base
+# lacks is reported as new and not gated; one the working tree lacks
+# fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MODE=compare
-if [ "${1:-}" = "-record" ]; then
-    MODE=record
-    shift
-fi
-BASELINE="${1:-BENCH_baseline.json}"
+REV="${1:-HEAD^}"
 THRESHOLD="${THRESHOLD:-15}"
 
-# Each benchmark runs COUNT times at a fixed GOMAXPROCS and the comparison
-# takes the best run, so a scheduler hiccup in one run cannot fake a
-# regression.
-CPU=2
-BENCHTIME=200x
-SERVICE_BENCHTIME=5000x
+# Chosen on a shared 2-vCPU VM so that identical builds pass ten runs in
+# a row and a 20% slowdown of one pin fails every run (figures in
+# CHANGES.md). A run takes about eleven minutes there.
+ROUNDS=30
+BENCHTIME=40ms
 COUNT=5
-SETTINGS="-cpu $CPU -benchtime $BENCHTIME (service $SERVICE_BENCHTIME) -count $COUNT"
+CPU=2
 
 # The pinned hot paths: end-to-end analysis, the parse and sync-graph
 # stages, analyzer construction (CLG, ordering facts and hypothesis
@@ -46,94 +44,154 @@ SETTINGS="-cpu $CPU -benchtime $BENCHTIME (service $SERVICE_BENCHTIME) -count $C
 # replica's cache, and the pooled JSON response writer.
 PIN_ROOT='^(BenchmarkEndToEndAnalyze|BenchmarkParse$|BenchmarkSyncGraphBuild|BenchmarkOrderingFacts|BenchmarkStageCacheWarmSecondAlgorithm)'
 PIN_SERVICE='^(BenchmarkServiceCacheHit$|BenchmarkWriteJSON)'
+# Each pinned package as "<tag> <directory> <pin regex>"; the tag names
+# its test binaries.
+PACKAGES=("root . $PIN_ROOT" "service internal/service $PIN_SERVICE")
+LIMIT="$(awk -v t="$THRESHOLD" 'BEGIN { print 1 + t / 100 }')"
 
-header() { # $1 = key, $2 = value; one go test -json style output event
-    printf '{"Action":"output","Package":"bench_diff","Output":"%s: %s\\n"}\n' "$1" "$(tr -d '"\\' <<<"$2")"
-}
-
-cpu_model() {
-    grep -m1 'model name' /proc/cpuinfo 2>/dev/null | sed 's/^[^:]*: *//' || uname -m
-}
-
-run_pinned() { # $1 = output file
-    {
-        header settings "$SETTINGS"
-        header host "$(go env GOVERSION), $(cpu_model)"
-    } > "$1"
-    echo "bench_diff: running pinned benchmarks ($SETTINGS)..." >&2
-    go test -run '^$' -bench "$PIN_ROOT" -cpu "$CPU" -benchtime "$BENCHTIME" -count "$COUNT" -json . >> "$1"
-    go test -run '^$' -bench "$PIN_SERVICE" -cpu "$CPU" -benchtime "$SERVICE_BENCHTIME" -count "$COUNT" -json ./internal/service >> "$1"
-}
-
-# header_value <file> <key> prints a record's header value.
-header_value() {
-    grep -o "\"Output\":\"$2: [^\"]*" "$1" | head -1 | sed "s/^\"Output\":\"$2: //; s/\\\\n\$//"
-}
-
-if [ "$MODE" = record ]; then
-    run_pinned "$BASELINE"
-    echo "bench_diff: recorded $BASELINE ($(header_value "$BASELINE" host))" >&2
-    exit 0
-fi
-
-if [ ! -f "$BASELINE" ]; then
-    echo "bench_diff: baseline $BASELINE not found (run: make bench-baseline)" >&2
+base_sha="$(git rev-parse --verify --quiet "$REV^{commit}")" || {
+    echo "bench_diff: unknown revision $REV" >&2
     exit 2
-fi
-if [ "$(header_value "$BASELINE" settings)" != "$SETTINGS" ]; then
-    echo "bench_diff: $BASELINE was recorded with settings '$(header_value "$BASELINE" settings)', not '$SETTINGS'; re-record it (make bench-baseline)" >&2
-    exit 2
-fi
+}
 
-fresh="$(mktemp)"
-trap 'rm -f "$fresh"' EXIT
-run_pinned "$fresh"
-echo "bench_diff: baseline host $(header_value "$BASELINE" host); this host $(header_value "$fresh" host)" >&2
+work="$(mktemp -d)"
+cleanup() {
+    git worktree remove --force "$work/base" >/dev/null 2>&1 || true
+    rm -rf "$work"
+    git worktree prune
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
-# extract <name> <ns/op> pairs from a go test -json stream, keeping the
-# best (minimum) ns/op per benchmark. A single result line is often split
-# across several Output events (the name flushes before the numbers), so
-# the stream is reassembled into plain text before line-wise parsing.
-extract() {
-    grep -o '"Output":"[^"]*"' "$1" |
-        sed 's/^"Output":"//; s/"$//' |
-        awk 'BEGIN { ORS = "" } { gsub(/\\t/, "\t"); gsub(/\\n/, "\n"); print }' |
-        awk '
+start=$SECONDS
+echo "bench_diff: base $REV ($(git rev-parse --short "$base_sha")) vs working tree; $(go env GOVERSION), -cpu $CPU, $ROUNDS rounds, best of $COUNT x $BENCHTIME" >&2
+git worktree add --quiet --detach "$work/base" "$base_sha"
+
+# build <tree> <side>: one test binary per pinned package.
+build() {
+    local pkg tag dir regex
+    for pkg in "${PACKAGES[@]}"; do
+        read -r tag dir regex <<<"$pkg"
+        (cd "$1" && go test -c -trimpath -o "$work/$2.$tag.test" "./$dir") || {
+            echo "bench_diff: building the $2 side of ./$dir failed" >&2
+            exit 2
+        }
+    done
+}
+build "$work/base" base
+build . change
+
+# Each pin is "<tag> <directory> <benchmark>": every benchmark that either
+# side's pin regex matches. Both sides run every pin; a side that lacks
+# one runs nothing for it.
+pins=()
+for pkg in "${PACKAGES[@]}"; do
+    read -r tag dir regex <<<"$pkg"
+    for name in $( ("$work/base.$tag.test" -test.list "$regex" && "$work/change.$tag.test" -test.list "$regex") | sort -u); do
+        pins+=("$tag $dir $name")
+    done
+done
+
+results="$work/results"
+: >"$results"
+# run <side> <tree> <round>: runs the pin in $tag, $dir and $name once and
+# appends one line per result row, "<row> <side> <round> <ns/op>", to
+# $results.
+run() {
+    local out
+    out="$(cd "$2/$dir" && "$work/$1.$tag.test" -test.run '^$' -test.bench "^$name\$" \
+        -test.benchtime "$BENCHTIME" -test.cpu "$CPU" 2>&1)" || {
+        printf 'bench_diff: %s side of %s failed:\n%s\n' "$1" "$name" "$out" >&2
+        exit 2
+    }
+    awk -v side="$1" -v round="$3" '
         $1 ~ /^Benchmark/ {
             name = $1
             sub(/-[0-9]+$/, "", name)
-            for (i = 2; i <= NF; i++) {
-                if ($i == "ns/op") {
-                    v = $(i - 1) + 0
-                    if (!(name in best) || v < best[name]) best[name] = v
-                }
-            }
-        }
-        END { for (n in best) printf "%s %.2f\n", n, best[n] }'
+            for (i = 2; i <= NF; i++) if ($i == "ns/op") print name, side, round, $(i - 1)
+        }' <<<"$out" >>"$results"
 }
 
-extract "$BASELINE" | sort > "$fresh.base"
-extract "$fresh" | sort > "$fresh.new"
-trap 'rm -f "$fresh" "$fresh.base" "$fresh.new"' EXIT
+for ((round = 1; round <= ROUNDS; round++)); do
+    for pin in "${pins[@]}"; do
+        read -r tag dir name <<<"$pin"
+        for ((k = round; k < round + COUNT; k++)); do
+            if ((k % 2)); then
+                run base "$work/base" "$round"
+                run change . "$round"
+            else
+                run change . "$round"
+                run base "$work/base" "$round"
+            fi
+        done
+    done
+    printf . >&2
+done
+echo >&2
 
-awk -v thr="$THRESHOLD" -v basefile="$BASELINE" '
-    NR == FNR { base[$1] = $2; next }
-    {
-        name = $1; new = $2
-        if (!(name in base)) {
-            printf "  NEW       %-55s %12.0f ns/op (no baseline)\n", name, new
-            next
+failed=0
+awk -v limit="$LIMIT" -v rounds="$ROUNDS" '
+    function isort(a, n,    i, j, t) {
+        for (i = 2; i <= n; i++) {
+            t = a[i]
+            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+            a[j + 1] = t
         }
-        old = base[name]
-        delta = (old > 0) ? (new - old) * 100 / old : 0
-        status = "ok"
-        if (delta > thr) { status = "REGRESSED"; failed++ }
-        printf "  %-9s %-55s %12.0f -> %.0f ns/op (%+.1f%%)\n", status, name, old, new, delta
     }
-    END {
-        if (failed > 0) {
-            printf "bench_diff: %d benchmark(s) regressed more than %s%% vs %s\n", failed, thr, basefile
-            exit 1
+    # q(a, n, p): the p-quantile of a[1..n] (sorted in place), by linear
+    # interpolation between order statistics.
+    function q(a, n, p,    h, i) {
+        isort(a, n)
+        h = (n - 1) * p + 1
+        i = int(h)
+        return i >= n ? a[n] : a[i] + (h - i) * (a[i + 1] - a[i])
+    }
+    function summary(a, n) {
+        return sprintf("%.0f [%.0f, %.0f]", q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75))
+    }
+    # report(row): one pinned result row, gated on its median ratio.
+    function report(row,    k, nb, nc, nr, slower, b, c, r, ratio, status) {
+        nb = nc = nr = slower = 0
+        for (k = 1; k <= rounds; k++) {
+            if ((row, "base", k) in v) b[++nb] = v[row, "base", k]
+            if ((row, "change", k) in v) c[++nc] = v[row, "change", k]
+            if ((row, "base", k) in v && (row, "change", k) in v) {
+                r[++nr] = v[row, "change", k] / v[row, "base", k]
+                if (r[nr] > 1) slower++
+            }
         }
-        print "bench_diff: no regressions beyond " thr "% vs " basefile
-    }' "$fresh.base" "$fresh.new"
+        if (nc == 0) {
+            printf "  MISSING   %s (in the base run, not in the working tree)\n", row
+            failed++
+            return
+        }
+        if (nb == 0) {
+            printf "  NEW       %s (no base run; not gated)\n", row
+            return
+        }
+        ratio = q(r, nr, 0.5)
+        status = "ok"
+        if (ratio > limit) {
+            status = "REGRESSED"
+            failed++
+        }
+        printf "  %-9s %s\n", status, row
+        printf "            base %s ns/op, change %s ns/op (median [q1, q3])\n", summary(b, nb), summary(c, nc)
+        printf "            change slower in %d of %d rounds, median ratio %.3f\n", slower, nr, ratio
+    }
+    !($1 in seen) { seen[$1]; rows[++n] = $1 }
+    # Each side keeps its best run of the round.
+    !(($1, $2, $3) in v) || $4 + 0 < v[$1, $2, $3] { v[$1, $2, $3] = $4 + 0 }
+    END {
+        isort(rows, n)
+        for (i = 1; i <= n; i++) report(rows[i])
+        exit failed ? 1 : 0
+    }' "$results" || failed=1
+
+elapsed=$((SECONDS - start))
+if ((failed)); then
+    echo "bench_diff: FAIL: a pinned benchmark is missing or its median ratio exceeds $LIMIT vs $REV (${elapsed}s)" >&2
+    exit 1
+fi
+echo "bench_diff: ok: every pinned median ratio is within $LIMIT vs $REV (${elapsed}s)" >&2
