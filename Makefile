@@ -68,7 +68,8 @@ bench:
 # Paired performance gate: build the pinned hot-path benchmarks at HEAD^
 # and in the working tree, run the two builds alternately on this host,
 # and fail if any pin's median per-round ratio exceeds 1.15
-# (scripts/bench_diff.sh HEAD gates uncommitted work).
+# (scripts/bench_diff.sh HEAD gates uncommitted work). About five
+# minutes on a 2-vCPU VM.
 bench-diff:
 	bash scripts/bench_diff.sh
 

@@ -3,6 +3,8 @@ package main
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func TestBadFlagExitsTwo(t *testing.T) {
@@ -49,5 +51,21 @@ func TestParseBackends(t *testing.T) {
 	}
 	if got := parseBackends(""); got != nil {
 		t.Fatalf("empty spec parsed to %v", got)
+	}
+}
+
+// TestDefaultsMatchFleetBenchmark: given only -backends, the gateway runs
+// with the Config the fleet benchmark builds (cluster.Config{Addr,
+// Backends} in bench/fleet.go), so what ships is what is measured.
+func TestDefaultsMatchFleetBenchmark(t *testing.T) {
+	backends := []string{"http://a:1", "http://b:1"}
+	got, ok := config([]string{"-backends", "http://a:1,http://b:1"})
+	if !ok {
+		t.Fatal("config rejected the required flags alone")
+	}
+	got.Logger = nil // a sink the caller supplies, not a setting
+	want := cluster.Config{Backends: backends}.Normalize()
+	if got := got.Normalize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag defaults normalize to\n%+v\nthe benchmarked Config to\n%+v", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -25,20 +26,18 @@ var marshalBatchRequest = json.Marshal
 type batchItem struct {
 	idx    int // position in the inbound request (and the results slice)
 	prog   service.BatchProgram
-	digest Digest
+	digest memo.Digest
 }
 
 // batchMeta is the batch-level envelope replicated onto every upstream
-// sub-batch. deadline is the whole batch's absolute deadline budget: each
-// sub-batch carries the time REMAINING when it is sent (not the client's
-// original timeoutMs — a chunk re-scattered after a slow first pass must
-// not grant its new replica the full budget all over again). A zero
-// deadline (negative timeoutMs, left for the replica to reject) relays
-// timeoutMs verbatim.
+// sub-batch, as the client sent it. The batch's deadline lives in the
+// context: each sub-batch's X-Deadline-Ms carries the time left when it
+// is sent, and the replica takes the smaller of that and timeoutMs, so a
+// chunk re-scattered after a slow first pass never gets the full budget
+// all over again.
 type batchMeta struct {
 	options   *service.WireOptions
 	timeoutMs int64
-	deadline  time.Time
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -64,20 +63,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]batchItem, len(req.Programs))
 	for i, p := range req.Programs {
-		items[i] = batchItem{idx: i, prog: p, digest: DigestOf(p.Source)}
+		items[i] = batchItem{idx: i, prog: p, digest: memo.SourceDigest(p.Source)}
 	}
 	results := make([]service.BatchResult, len(req.Programs))
-	meta := batchMeta{options: req.Options, timeoutMs: req.TimeoutMs}
-	rctx := r.Context()
-	if req.TimeoutMs >= 0 {
-		d := g.cfg.budgetFor(req.TimeoutMs)
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(rctx, d)
-		defer cancel()
-		meta.deadline = time.Now().Add(d)
-		rctx = withBudget(rctx, meta.deadline)
-	}
-	g.scatter(rctx, meta, items, results, 0)
+	rctx, cancel := g.withDeadline(r.Context(), req.TimeoutMs)
+	defer cancel()
+	g.scatter(rctx, batchMeta{options: req.Options, timeoutMs: req.TimeoutMs}, items, results, 0)
 	var ok, failed, unavailable int
 	for i := range results {
 		switch results[i].ErrorCode {
@@ -193,22 +184,10 @@ func (g *Gateway) sendChunk(ctx context.Context, b *backend, meta batchMeta, chu
 	for i, it := range chunk {
 		progs[i] = it.prog
 	}
-	// Decrement the deadline by time already elapsed: a sub-batch sent (or
-	// re-scattered) late in the budget carries only what is left, never
-	// the caller's original timeoutMs verbatim. Floor of 1ms: 0 would mean
-	// "use the replica default" on the wire.
-	timeoutMs := meta.timeoutMs
-	if !meta.deadline.IsZero() {
-		rem := time.Until(meta.deadline)
-		if rem < time.Millisecond {
-			rem = time.Millisecond
-		}
-		timeoutMs = int64(rem / time.Millisecond)
-	}
 	body, err := marshalBatchRequest(service.BatchRequest{
 		Programs:  progs,
 		Options:   meta.options,
-		TimeoutMs: timeoutMs,
+		TimeoutMs: meta.timeoutMs,
 	})
 	if err != nil {
 		// scatter acquired the probe slot for this chunk and send() is

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -45,7 +47,6 @@ func TestGatewayChaosBrownout(t *testing.T) {
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 20,
 		MaxRetries:       2,
-		RetryBackoff:     time.Millisecond,
 	})
 
 	const browned = 0
@@ -58,7 +59,7 @@ func TestGatewayChaosBrownout(t *testing.T) {
 	var sources []string
 	for n := 2; n < 400 && len(sources) < 5; n++ {
 		src := workload.Ring(n).String()
-		if g.Ring().Candidates(DigestOf(src))[0] == browned {
+		if g.Ring().Candidates(memo.SourceDigest(src))[0] == browned {
 			sources = append(sources, src)
 		}
 	}
@@ -203,14 +204,16 @@ func TestGatewayDeadlineBudgetShedsAtReplica(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchDeadlineDecrement pins the re-scatter budget fix: a
-// sub-batch re-sent after upstream pushback carries the time REMAINING
-// in the batch's budget, never the client's original timeoutMs verbatim
-// — while a negative timeoutMs (left for the replica to reject) does
-// relay verbatim, so the replica's validation error stays authoritative.
+// TestGatewayBatchDeadlineDecrement pins the re-scatter deadline: a
+// sub-batch re-sent after upstream pushback carries in X-Deadline-Ms only
+// the time left in the batch's deadline, never the whole budget again,
+// while every sub-batch relays the client's timeoutMs unchanged (the
+// replica takes the smaller of the two). A negative timeoutMs relays
+// unchanged too, so the replica's validation error stays authoritative.
 func TestGatewayBatchDeadlineDecrement(t *testing.T) {
+	type pass struct{ timeoutMs, deadlineMs int64 }
 	var mu sync.Mutex
-	var seen []int64
+	var seen []pass
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/analyze/batch" {
 			w.WriteHeader(http.StatusOK)
@@ -220,14 +223,18 @@ func TestGatewayBatchDeadlineDecrement(t *testing.T) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("stub: bad sub-batch body: %v", err)
 		}
+		deadlineMs, err := strconv.ParseInt(r.Header.Get(service.DeadlineHeader), 10, 64)
+		if err != nil {
+			deadlineMs = -1
+		}
 		mu.Lock()
-		seen = append(seen, req.TimeoutMs)
+		seen = append(seen, pass{req.TimeoutMs, deadlineMs})
 		n := len(seen)
 		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		if n == 1 {
-			// First pass: burn a visible slice of the budget, then shed the
-			// whole chunk so the gateway re-scatters it.
+			// First pass: burn a visible slice of the deadline, then shed
+			// the whole chunk so the gateway re-scatters it.
 			time.Sleep(300 * time.Millisecond)
 			w.Header().Set("Retry-After", "0")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -241,7 +248,7 @@ func TestGatewayBatchDeadlineDecrement(t *testing.T) {
 		json.NewEncoder(w).Encode(service.BatchResponse{Results: results})
 	}))
 	defer stub.Close()
-	_, gts := newTestGateway(t, []string{stub.URL}, Config{RetryBackoff: time.Millisecond})
+	_, gts := newTestGateway(t, []string{stub.URL}, Config{})
 
 	resp, data := postJSON(t, gts.URL+"/v1/analyze/batch", service.BatchRequest{
 		Programs:  []service.BatchProgram{{ID: "p0", Source: "task main { }"}},
@@ -255,24 +262,26 @@ func TestGatewayBatchDeadlineDecrement(t *testing.T) {
 		t.Fatalf("re-scattered batch did not recover: %s", data)
 	}
 	mu.Lock()
-	got := append([]int64(nil), seen...)
+	got := append([]pass(nil), seen...)
 	mu.Unlock()
 	if len(got) != 2 {
 		t.Fatalf("stub saw %d sub-batches, want 2 (original + re-scatter)", len(got))
 	}
-	if got[0] < 1500 || got[0] > 2000 {
-		t.Fatalf("first pass timeoutMs=%d, want ~2000 (the whole budget)", got[0])
+	for i, p := range got {
+		if p.timeoutMs != 2000 {
+			t.Fatalf("pass %d relayed timeoutMs=%d, want the client's 2000 unchanged", i, p.timeoutMs)
+		}
 	}
-	if got[1] < 1 {
-		t.Fatalf("re-scattered timeoutMs=%d; 0 would mean \"replica default\" on the wire", got[1])
+	if got[0].deadlineMs < 1500 || got[0].deadlineMs > 2000 {
+		t.Fatalf("first pass X-Deadline-Ms=%d, want ~2000 (the whole deadline)", got[0].deadlineMs)
 	}
-	if got[1] > got[0]-250 {
-		t.Fatalf("re-scattered timeoutMs=%d after first pass %d: 300ms of elapsed budget not decremented",
-			got[1], got[0])
+	if got[1].deadlineMs < 0 || got[1].deadlineMs > got[0].deadlineMs-250 {
+		t.Fatalf("re-scattered X-Deadline-Ms=%d after first pass %d: 300ms of elapsed deadline not taken off",
+			got[1].deadlineMs, got[0].deadlineMs)
 	}
 
-	// Negative timeoutMs: no budget is derived and the value relays
-	// verbatim for the replica to reject.
+	// Negative timeoutMs: the gateway sets no deadline and the value
+	// relays unchanged for the replica to reject.
 	resp2, _ := postJSON(t, gts.URL+"/v1/analyze/batch", service.BatchRequest{
 		Programs:  []service.BatchProgram{{ID: "p1", Source: "task main { }"}},
 		TimeoutMs: -7,
@@ -283,7 +292,7 @@ func TestGatewayBatchDeadlineDecrement(t *testing.T) {
 	mu.Lock()
 	last := seen[len(seen)-1]
 	mu.Unlock()
-	if last != -7 {
-		t.Fatalf("negative timeoutMs relayed as %d, want -7 verbatim", last)
+	if last.timeoutMs != -7 {
+		t.Fatalf("negative timeoutMs relayed as %d, want -7 unchanged", last.timeoutMs)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -50,7 +51,6 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 		BatchChunk:       chunk,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // stays open for the rest of the test
-		RetryBackoff:     time.Millisecond,
 	})
 
 	progs := make([]service.BatchProgram, n)
@@ -59,7 +59,7 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 	for i := range progs {
 		src := workload.Ring(i + 2).String()
 		progs[i] = service.BatchProgram{ID: fmt.Sprintf("p%d", i), Source: src}
-		ownerOf[i] = g.Ring().Candidates(DigestOf(src))[0]
+		ownerOf[i] = g.Ring().Candidates(memo.SourceDigest(src))[0]
 		shard[ownerOf[i]]++
 	}
 	// Kill the replica owning the most items, after it has served one
@@ -211,7 +211,7 @@ func TestGatewayForwardFaultHook(t *testing.T) {
 // never surfacing to the client.
 func TestGatewayShedReroutesAcrossFleet(t *testing.T) {
 	f := newFleet(t, 3, service.Config{})
-	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2})
 	const owner = 0
 	src := ownedBy(t, g, owner)
 	f.wraps[owner].mu.Lock()

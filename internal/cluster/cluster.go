@@ -45,12 +45,8 @@ type Config struct {
 	// membership. Order does not affect routing — ring points hash the
 	// URL, not the index — so config reordering never reshuffles keys.
 	Backends []string
-	// VirtualNodes is the number of ring points per backend. 0 means 64.
-	VirtualNodes int
 	// HealthInterval is the active probe period. 0 means 2s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds each probe round trip. 0 means 1s.
-	HealthTimeout time.Duration
 	// BreakerThreshold is how many consecutive transport failures open a
 	// backend's circuit breaker. 0 means 3.
 	BreakerThreshold int
@@ -61,26 +57,15 @@ type Config struct {
 	// the analyze proxy path (total attempts = MaxRetries+1). Negative
 	// disables retries. 0 means 2.
 	MaxRetries int
-	// RetryBackoff is the base retry delay, doubled per attempt; an
-	// upstream Retry-After header overrides it. 0 means 25ms.
-	RetryBackoff time.Duration
-	// RetryAfterCap clamps how long the gateway will honor an upstream
-	// Retry-After hint before retrying. 0 means 2s.
-	RetryAfterCap time.Duration
-	// UpstreamTimeout bounds a single-flight leader's upstream analyze
-	// call. The leader runs detached from its own request context (its
-	// result is shared with followers whose requests are still live, so
-	// one client disconnecting must not cancel everyone); this is the
-	// replacement bound. 0 means 60s.
-	UpstreamTimeout time.Duration
-	// DefaultTimeout is the end-to-end deadline budget applied to requests
-	// that carry no timeoutMs of their own. The budget is decremented
-	// across retries, backoff sleeps, and batch re-scatter rounds, and the
-	// remainder is propagated to replicas via the X-Deadline-Ms header.
-	// 0 means 30s, matching the replica default.
+	// DefaultTimeout is the end-to-end deadline applied to requests that
+	// carry no timeoutMs of their own. The deadline lives in the request
+	// context: retries, backoff sleeps and batch re-scatter rounds all
+	// draw on it, and what is left travels to replicas in the
+	// X-Deadline-Ms header. 0 means 30s, matching the replica default.
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-requested deadline budgets. 0 means 5m,
-	// matching the replica clamp.
+	// MaxTimeout clamps client-requested deadlines, and bounds a request
+	// that has none (a negative timeoutMs, which the replica rejects).
+	// 0 means 5m, matching the replica clamp.
 	MaxTimeout time.Duration
 	// RetryBudgetRatio is the fraction of a retry token each upstream
 	// success earns: retries (and hedges) spend whole tokens from a global
@@ -98,7 +83,9 @@ type Config struct {
 	// percentile (from the per-backend histogram; 100ms until enough
 	// samples exist), the gateway issues one speculative attempt to the
 	// next ring candidate and takes whichever answers first. 1-99; 0 (the
-	// zero value) or negative disables hedging.
+	// default) or negative disables hedging. Off by default: the hedge
+	// lands on a replica that does not own the digest, which analyzes and
+	// caches the program a second time.
 	HedgePercentile int
 	// BatchChunk is how many items of one backend's batch share go into
 	// each upstream sub-batch request: small chunks stream a large batch
@@ -126,24 +113,18 @@ type Config struct {
 	// always retained in the trace ring and logged at WARN with backend
 	// and retry breakdown. 0 means 1s; negative disables.
 	SlowThreshold time.Duration
-	// TraceRing caps the in-memory ring of retained traces served at
-	// /debug/traces. 0 means 256.
-	TraceRing int
 }
+
+// virtualNodes is the number of ring points per backend.
+const virtualNodes = 64
 
 // Normalize fills unset fields with their defaults and returns the result.
 func (c Config) Normalize() Config {
 	if c.Addr == "" {
 		c.Addr = ":8090"
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -152,18 +133,9 @@ func (c Config) Normalize() Config {
 		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.MaxRetries == 0 {
+		// Negative stays negative (retries reads it as 0), keeping
+		// Normalize idempotent.
 		c.MaxRetries = 2
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.RetryAfterCap <= 0 {
-		c.RetryAfterCap = 2 * time.Second
-	}
-	if c.UpstreamTimeout <= 0 {
-		c.UpstreamTimeout = 60 * time.Second
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -200,11 +172,11 @@ func (c Config) Normalize() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = time.Second
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
 	return c
 }
+
+// retries is the number of extra attempts MaxRetries allows.
+func (c Config) retries() int { return max(c.MaxRetries, 0) }
 
 // backend is one replica's runtime state: admin identity, the latest
 // active-probe verdict, and the circuit breaker over transport outcomes.
@@ -249,8 +221,8 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Backends, cfg.VirtualNodes),
-		flights: newFlightGroup(cfg.UpstreamTimeout),
+		ring:    NewRing(cfg.Backends, virtualNodes),
+		flights: newFlightGroup(cfg.MaxTimeout),
 		// One shared client: keep-alive connection reuse to every replica
 		// is what keeps the proxy hop cheap. The fault wrapper is free
 		// (one atomic load) until SIWA_FAULTS arms a gateway.net.* point,
@@ -276,7 +248,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.backends = append(g.backends, b)
 	}
 	g.metrics = newMetrics(g)
-	g.exporter = obs.NewExporter(cfg.TraceRing, cfg.TraceSample, cfg.SlowThreshold)
+	g.exporter = obs.NewExporter(obs.RetainedTraces, cfg.TraceSample, cfg.SlowThreshold)
 	g.edge = &service.Edge{
 		Tier:       "gateway",
 		IDFormat:   "gw-%d",

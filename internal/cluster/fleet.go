@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -87,10 +88,14 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, out)
 }
 
+// debugScrapeTimeout bounds the gateway's debug fetches from one replica:
+// the fleet-status scrape and the trace-stitching lookup.
+const debugScrapeTimeout = 2 * time.Second
+
 // scrapeBackend fills fb from one replica's /readyz and /metrics. Debug
-// traffic: bounded by the health timeout, never fed to the breaker.
+// traffic: bounded by debugScrapeTimeout, never fed to the breaker.
 func (g *Gateway) scrapeBackend(ctx context.Context, fb *FleetBackend, b *backend) {
-	cctx, cancel := context.WithTimeout(ctx, 2*g.cfg.HealthTimeout)
+	cctx, cancel := context.WithTimeout(ctx, debugScrapeTimeout)
 	defer cancel()
 	ready, err := g.scrapeGet(cctx, b.name+"/readyz")
 	if err != nil {

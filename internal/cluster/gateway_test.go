@@ -11,12 +11,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -468,7 +470,7 @@ func ownedBy(t *testing.T, g *Gateway, i int) string {
 	t.Helper()
 	for n := 2; n < 200; n++ {
 		src := workload.Ring(n).String()
-		if g.Ring().Candidates(DigestOf(src))[0] == i {
+		if g.Ring().Candidates(memo.SourceDigest(src))[0] == i {
 			return src
 		}
 	}
@@ -592,7 +594,7 @@ func TestGatewayBatchOrderAndSharding(t *testing.T) {
 func TestGatewayRetryOn429(t *testing.T) {
 	f := newFleet(t, 1, service.Config{})
 	f.wraps[0].shed = 1
-	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2})
 	resp, data := postJSON(t, gts.URL+"/v1/analyze", service.AnalyzeRequest{Source: workload.Ring(5).String()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
@@ -868,6 +870,57 @@ func TestFlightGroupLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestGatewayLeaderKeepsRequestDeadline pins the one deadline per gateway
+// request: an analyze with timeoutMs 120000 reaches the upstream call
+// under a single-flight leader context that still has its full 120s, and
+// the X-Deadline-Ms the replica is told agrees with that context.
+func TestGatewayLeaderKeepsRequestDeadline(t *testing.T) {
+	var mu sync.Mutex
+	var header string
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		header = r.Header.Get(service.DeadlineHeader)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"report":{}}`)
+	}))
+	defer stub.Close()
+	g, gts := newTestGateway(t, []string{stub.URL}, Config{})
+	var leaderLeft time.Duration
+	next := g.client.Transport
+	g.client.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if deadline, ok := r.Context().Deadline(); ok {
+			mu.Lock()
+			leaderLeft = time.Until(deadline)
+			mu.Unlock()
+		}
+		return next.RoundTrip(r)
+	})
+
+	resp, data := postJSON(t, gts.URL+"/v1/analyze",
+		service.AnalyzeRequest{Source: workload.Ring(3).String(), TimeoutMs: 120_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if leaderLeft < 119*time.Second || leaderLeft > 120*time.Second {
+		t.Fatalf("leader context had %v left, want the request's 120s", leaderLeft)
+	}
+	ms, err := strconv.ParseInt(header, 10, 64)
+	if err != nil {
+		t.Fatalf("X-Deadline-Ms=%q: %v", header, err)
+	}
+	if d := time.Duration(ms)*time.Millisecond - leaderLeft; d < -time.Second || d > time.Second {
+		t.Fatalf("X-Deadline-Ms=%d disagrees with the leader's %v", ms, leaderLeft)
+	}
+}
+
 // TestGatewayCancelledProbeReleasesBreaker pins the Acquire contract on
 // the client-cancel path: a request that wins the half-open probe slot
 // and is then cancelled mid-send must return the slot. Before Release
@@ -891,7 +944,7 @@ func TestGatewayCancelledProbeReleasesBreaker(t *testing.T) {
 	body, _ := json.Marshal(service.AnalyzeRequest{Source: workload.Ring(3).String()})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := g.forward(ctx, DigestOf("x"), "/v1/analyze", body, ""); err == nil {
+	if _, err := g.forward(ctx, memo.SourceDigest("x"), "/v1/analyze", body, ""); err == nil {
 		t.Fatal("request cancelled mid-send should fail")
 	}
 	if got := br.State(); got != BreakerOpen {
@@ -903,7 +956,7 @@ func TestGatewayCancelledProbeReleasesBreaker(t *testing.T) {
 	f.wraps[0].mu.Lock()
 	f.wraps[0].delay = 0
 	f.wraps[0].mu.Unlock()
-	res, err := g.forward(context.Background(), DigestOf("x"), "/v1/analyze", body, "")
+	res, err := g.forward(context.Background(), memo.SourceDigest("x"), "/v1/analyze", body, "")
 	if err != nil {
 		t.Fatalf("re-probe forward: %v", err)
 	}
@@ -936,4 +989,53 @@ func TestGatewayAlgorithmsClientCancel(t *testing.T) {
 	if got := g.Metrics().Unavailable.Load(); got != 0 {
 		t.Fatalf("unavailable metric=%d, want 0", got)
 	}
+}
+
+// TestNormalizeIdempotent: normalizing a normalized Config changes
+// nothing, for both tiers' Configs, whatever value one field starts at. A
+// caller that normalizes before New (a main printing its listen address)
+// must get the behaviour it asked for.
+func TestNormalizeIdempotent(t *testing.T) {
+	for _, cfg := range []any{Config{}, service.Config{}} {
+		typ := reflect.TypeOf(cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			for _, v := range fieldSamples(typ.Field(i).Type) {
+				c := reflect.New(typ).Elem()
+				c.Field(i).Set(v)
+				once := c.MethodByName("Normalize").Call(nil)[0].Interface()
+				twice := reflect.ValueOf(once).MethodByName("Normalize").Call(nil)[0].Interface()
+				if !reflect.DeepEqual(once, twice) {
+					t.Errorf("%s.%s=%v: Normalize once\n%+v\ntwice\n%+v",
+						typ, typ.Field(i).Name, v, once, twice)
+				}
+			}
+		}
+	}
+}
+
+// fieldSamples returns zero, negative, small and large values of type t;
+// a struct gets every field set to the same kind of value at once.
+func fieldSamples(t reflect.Type) []reflect.Value {
+	out := []reflect.Value{reflect.Zero(t)}
+	for _, n := range []int64{-1, 7, 1000} {
+		v := reflect.New(t).Elem()
+		switch t.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(n)
+		case reflect.Float64:
+			v.SetFloat(float64(n) / 10)
+		case reflect.String:
+			v.SetString(fmt.Sprint(n))
+		case reflect.Bool:
+			v.SetBool(n > 0)
+		case reflect.Slice:
+			v = reflect.Append(v, reflect.ValueOf(fmt.Sprint("http://a:", n)))
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				v.Field(i).Set(fieldSamples(t.Field(i).Type)[len(out)])
+			}
+		}
+		out = append(out, v)
+	}
+	return out
 }

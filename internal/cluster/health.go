@@ -7,13 +7,16 @@ import (
 	"time"
 )
 
+// healthTimeout bounds each probe round trip.
+const healthTimeout = time.Second
+
 // probe checks one replica's liveness AND readiness: /healthz proves the
 // process is alive, /readyz proves it is accepting new work (a draining
 // replica answers 503 there while it finishes in-flight requests, and
 // must stop receiving traffic before it disappears). Both must be 200.
 func (g *Gateway) probe(ctx context.Context, b *backend) bool {
 	for _, path := range []string{"/healthz", "/readyz"} {
-		pctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+		pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 		ok := func() bool {
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.name+path, nil)
 			if err != nil {

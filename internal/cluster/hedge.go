@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // Hedged requests bound tail latency when one replica browns out: if the
@@ -13,11 +14,12 @@ import (
 // configured percentile, the gateway issues one speculative attempt to
 // the next ring candidate and takes whichever answers first, cancelling
 // the loser. Hedging is safe here by construction — analyses are pure
-// functions of (source, options), results are content-addressed, and the
-// replica caches make a duplicate attempt nearly free — so the only real
-// cost is the extra request, which is charged to the retry budget:
-// hedges are disabled when the budget runs low, so speculation never
-// competes with genuine retries during an outage.
+// functions of (source, options) and results are content-addressed. It is
+// not free: the extra request is charged to the retry budget (hedges are
+// disabled when the budget runs low, so speculation never competes with
+// genuine retries during an outage), and the hedge makes a replica that
+// does not own the digest analyze and cache the program a second time,
+// which is why hedging is off unless HedgePercentile is set.
 
 const (
 	// hedgeMinSamples is how many latency observations a backend needs
@@ -56,7 +58,7 @@ func (g *Gateway) hedgeDelay(primary *backend) time.Duration {
 // candidate whose breaker slot and retry tokens are both available. nil
 // means no hedge this time.
 func (g *Gateway) pickHedge(ctx context.Context, elig []*backend, primary *backend) *backend {
-	if rem, ok := remainingBudget(ctx); ok && rem < minAttemptHeadroom {
+	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < service.MinAttemptBudget {
 		return nil // the deadline will kill the hedge before it helps
 	}
 	for _, b := range elig {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -132,12 +133,12 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	if reqID != "" {
 		req.Header.Set("X-Request-Id", reqID)
 	}
-	if rem, ok := remainingBudget(ctx); ok {
-		// Propagate the budget as a remaining duration (not a wall-clock
-		// deadline), so replica clock skew cannot corrupt it. The replica
+	if deadline, ok := ctx.Deadline(); ok {
+		// Propagate the deadline as a remaining duration (not a wall-clock
+		// time), so replica clock skew cannot corrupt it. The replica
 		// adopts it as its context deadline and sheds outright when it is
 		// below the admission floor.
-		ms := rem.Milliseconds()
+		ms := time.Until(deadline).Milliseconds()
 		if ms < 0 {
 			ms = 0
 		}
@@ -189,25 +190,29 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	}, nil
 }
 
+const (
+	// retryBackoff is the base retry delay, doubled per attempt; an
+	// upstream Retry-After hint overrides it.
+	retryBackoff = 25 * time.Millisecond
+	// retryAfterCap clamps how long the gateway honors an upstream
+	// Retry-After hint: it holds a client connection while it waits.
+	retryAfterCap = 2 * time.Second
+)
+
 // sleepRetry waits out the backoff before a retry attempt: the delay is
-// drawn uniformly from [0, base<<attempt] (full jitter — a synchronized
-// herd of clients whose replica just recovered must not all retry in the
-// same instant and shed it again), and an upstream Retry-After hint
-// overrides it (clamped to RetryAfterCap — the gateway holds a client
-// connection while it waits, so it will not honor a multi-minute hint).
-// Returns false if ctx expired first, or if the request's remaining
-// deadline budget cannot cover the sleep plus another attempt — waiting
-// out a backoff the deadline will kill anyway is pure waste.
+// drawn uniformly from [0, retryBackoff<<attempt] (full jitter — a
+// synchronized herd of clients whose replica just recovered must not all
+// retry in the same instant and shed it again), and an upstream
+// Retry-After hint overrides it, clamped to retryAfterCap.
+// Returns false if ctx expired first, or if the time left before ctx's
+// deadline cannot cover the sleep plus another attempt — waiting out a
+// backoff the deadline will kill anyway is pure waste.
 func (g *Gateway) sleepRetry(ctx context.Context, attempt int, retryAfter string) bool {
-	ceil := g.cfg.RetryBackoff << attempt
-	d := time.Duration(rand.Int64N(int64(ceil) + 1))
+	d := time.Duration(rand.Int64N(int64(retryBackoff<<attempt) + 1))
 	if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-		if d > g.cfg.RetryAfterCap {
-			d = g.cfg.RetryAfterCap
-		}
+		d = min(time.Duration(secs)*time.Second, retryAfterCap)
 	}
-	if rem, ok := remainingBudget(ctx); ok && rem < d+minAttemptHeadroom {
+	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < d+service.MinAttemptBudget {
 		return false
 	}
 	if d <= 0 {
@@ -294,7 +299,7 @@ func (g *Gateway) attemptOne(ctx context.Context, b *backend, attempt int, path 
 // subsequent requests route around the corpse. Single analyzes on a
 // hedging-enabled gateway race the first attempt against one speculative
 // attempt to the next ring candidate (hedge.go).
-func (g *Gateway) forward(ctx context.Context, d Digest, path string, body []byte, reqID string) (*upstream, error) {
+func (g *Gateway) forward(ctx context.Context, d memo.Digest, path string, body []byte, reqID string) (*upstream, error) {
 	elig := make([]*backend, 0, len(g.backends))
 	for _, ci := range g.ring.Candidates(d) {
 		if b := g.backends[ci]; b.eligible() {
@@ -306,7 +311,8 @@ func (g *Gateway) forward(ctx context.Context, d Digest, path string, body []byt
 	}
 	root := obs.TraceFromContext(ctx).RootSpan()
 	var last *upstream
-	for attempt := 0; attempt <= g.cfg.MaxRetries; attempt++ {
+	maxRetries := g.cfg.retries()
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		b := elig[attempt%len(elig)]
 		var res *upstream
 		var err error
@@ -325,7 +331,7 @@ func (g *Gateway) forward(ctx context.Context, d Digest, path string, body []byt
 			return res, nil
 		}
 		last = res
-		if attempt == g.cfg.MaxRetries {
+		if attempt == maxRetries {
 			break
 		}
 		// The retry targets the NEXT candidate: charge its bucket (plus the
@@ -358,13 +364,13 @@ type flight struct {
 // the SHA-256 of the raw request body (source, options, trace flag — an
 // exact match, so no response is ever shared across differing requests).
 type flightGroup struct {
-	mu      sync.Mutex
-	m       map[[sha256.Size]byte]*flight
-	timeout time.Duration // bound on the leader's detached execution
+	mu    sync.Mutex
+	m     map[[sha256.Size]byte]*flight
+	bound time.Duration // bound on a leader whose request has no deadline
 }
 
-func newFlightGroup(timeout time.Duration) *flightGroup {
-	return &flightGroup{m: make(map[[sha256.Size]byte]*flight), timeout: timeout}
+func newFlightGroup(bound time.Duration) *flightGroup {
+	return &flightGroup{m: make(map[[sha256.Size]byte]*flight), bound: bound}
 }
 
 // begin claims single-flight leadership for key. The returned bool is
@@ -397,11 +403,12 @@ func (fg *flightGroup) finish(key [sha256.Size]byte, f *flight, res *upstream, e
 
 // do runs fn once per key among concurrent callers: the leader executes,
 // followers wait and share the leader's result. The leader runs fn on a
-// context detached from its own request (bounded by fg.timeout instead):
-// the result is shared with followers whose requests are still live, so
-// the leader's client disconnecting mid-flight must not turn into a
-// cancellation error for everyone. A follower that cancels only abandons
-// its own wait. shared reports whether this caller was a follower.
+// context detached from its own request's cancellation but keeping its
+// deadline (or fg.bound when it has none): the result is shared with
+// followers whose requests are still live, so the leader's client
+// disconnecting mid-flight must not turn into a cancellation error for
+// everyone. A follower that cancels only abandons its own wait. shared
+// reports whether this caller was a follower.
 func (fg *flightGroup) do(ctx context.Context, key [sha256.Size]byte, fn func(context.Context) (*upstream, error)) (res *upstream, err error, shared bool) {
 	f, leader := fg.begin(key)
 	if !leader {
@@ -412,18 +419,30 @@ func (fg *flightGroup) do(ctx context.Context, key [sha256.Size]byte, fn func(co
 			return nil, ctx.Err(), true
 		}
 	}
-	// WithoutCancel keeps context VALUES, so the deadline budget survives
-	// the detachment: a leader working under a short client budget is
-	// bounded by that budget, not the full upstream timeout.
-	timeout := fg.timeout
-	if rem, ok := remainingBudget(ctx); ok && rem < timeout {
-		timeout = rem
+	// WithoutCancel drops the deadline along with the cancellation, so
+	// the request's own deadline is put back on the detached context.
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(fg.bound)
 	}
-	ectx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
+	ectx, cancel := context.WithDeadline(context.WithoutCancel(ctx), deadline)
 	res, err = fn(ectx)
 	cancel()
 	fg.finish(key, f, res, err)
 	return res, err, false
+}
+
+// withDeadline puts the request's end-to-end deadline on ctx: the
+// client's timeoutMs (or the default), resolved as the replica resolves
+// it. Retries, backoff sleeps and upstream calls all draw on it. A
+// negative timeoutMs gets no deadline here: it is left for the replica to
+// reject, so the error body comes from one place.
+func (g *Gateway) withDeadline(ctx context.Context, timeoutMs int64) (context.Context, context.CancelFunc) {
+	d, err := service.ResolveTimeout(timeoutMs, g.cfg.DefaultTimeout, g.cfg.MaxTimeout)
+	if err != nil {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, d)
 }
 
 // readBody slurps the request body under the configured cap.
@@ -469,8 +488,8 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The gateway needs only the source (for the routing digest) and the
-	// timeout (for the deadline budget); the replica owns full validation.
-	// A body that is not JSON at all cannot be routed and is rejected here.
+	// timeout (for the deadline); the replica owns full validation. A body
+	// that is not JSON at all cannot be routed and is rejected here.
 	var req struct {
 		Source    string `json:"source"`
 		TimeoutMs int64  `json:"timeoutMs"`
@@ -479,21 +498,10 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, service.CodeInvalidRequest, "invalid request body: %v", err)
 		return
 	}
-	rctx := r.Context()
-	if req.TimeoutMs >= 0 {
-		// Derive the end-to-end deadline budget from the client's timeoutMs
-		// (or the gateway default) and enforce it on the whole proxy
-		// journey: retries, backoff sleeps, and the upstream calls all draw
-		// down one budget. A negative timeoutMs is left for the replica to
-		// reject, so the error body comes from one place.
-		d := g.cfg.budgetFor(req.TimeoutMs)
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(rctx, d)
-		defer cancel()
-		rctx = withBudget(rctx, time.Now().Add(d))
-	}
+	rctx, cancel := g.withDeadline(r.Context(), req.TimeoutMs)
+	defer cancel()
 	res, err, shared := g.flights.do(rctx, sha256.Sum256(body), func(ctx context.Context) (*upstream, error) {
-		return g.forward(ctx, DigestOf(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
+		return g.forward(ctx, memo.SourceDigest(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
 	})
 	th := obs.TraceFromContext(r.Context())
 	if shared {

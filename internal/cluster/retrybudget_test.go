@@ -89,7 +89,6 @@ func TestGatewayRetryBudgetExhaustion(t *testing.T) {
 	f.wraps[0].shed = 1000
 	g, gts := newTestGateway(t, f.urls, Config{
 		MaxRetries:       8,
-		RetryBackoff:     time.Millisecond,
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 2,
 	})
@@ -141,7 +140,6 @@ func TestGatewayRetrySucceedsWithinBudget(t *testing.T) {
 	f.wraps[0].shed = 1
 	g, gts := newTestGateway(t, f.urls, Config{
 		MaxRetries:       2,
-		RetryBackoff:     time.Millisecond,
 		RetryBudgetRatio: 0.1,
 		RetryBudgetBurst: 10,
 	})
@@ -160,25 +158,26 @@ func TestGatewayRetrySucceedsWithinBudget(t *testing.T) {
 	}
 }
 
-// TestSleepRetryRespectsDeadlineBudget pins the budget-aware backoff: a
-// request whose remaining budget cannot cover the wait plus another
-// attempt refuses to sleep at all, and an uncapped upstream Retry-After
-// hint cannot hold the connection past the budget either.
+// TestSleepRetryRespectsDeadlineBudget pins the deadline-aware backoff:
+// a request whose context deadline leaves too little for the wait plus
+// another attempt refuses to sleep at all, and an uncapped upstream
+// Retry-After hint cannot hold the connection past the deadline either.
 func TestSleepRetryRespectsDeadlineBudget(t *testing.T) {
 	f := newFleet(t, 1, service.Config{})
-	g, _ := newTestGateway(t, f.urls, Config{RetryBackoff: time.Millisecond})
+	g, _ := newTestGateway(t, f.urls, Config{})
 
-	ctx := withBudget(context.Background(), time.Now().Add(2*time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if g.sleepRetry(ctx, 0, "1") { // Retry-After: 1s >> 2ms of budget
+	if g.sleepRetry(ctx, 0, "1") { // Retry-After: 1s >> 2ms of deadline
 		t.Fatal("sleepRetry agreed to wait out a backoff the deadline will kill")
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("budget-refused sleep still took %v", elapsed)
+		t.Fatalf("deadline-refused sleep still took %v", elapsed)
 	}
 
-	// Without a budget in the context the old contract holds: the sleep
-	// happens (full jitter means any delay in [0, backoff<<attempt]).
+	// Without a deadline the old contract holds: the sleep happens (full
+	// jitter means any delay in [0, retryBackoff<<attempt]).
 	if !g.sleepRetry(context.Background(), 0, "") {
 		t.Fatal("sleepRetry failed with no deadline pressure")
 	}

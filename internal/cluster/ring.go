@@ -5,17 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"repro/internal/memo"
 )
-
-// Digest is the routing key for one program: the SHA-256 of its source
-// text. It is the same content address the replica's cache keys stage
-// artifacts on (report keys fold the options in on top), so routing by
-// Digest sends every option-variant of one program to the replica that
-// already holds its results — near-perfect cache affinity.
-type Digest [sha256.Size]byte
-
-// DigestOf content-addresses a program source for routing.
-func DigestOf(source string) Digest { return sha256.Sum256([]byte(source)) }
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
 // backend index.
@@ -33,6 +25,11 @@ type ringPoint struct {
 // the classic consistent-hash rebalance: when a backend dies, each of its
 // keys moves to that key's own clockwise successor, and keys owned by
 // healthy backends do not move at all.
+//
+// Keys are memo.SourceDigest values: the content address the replica's
+// cache keys stage artifacts on (report keys fold the options in on
+// top), so every option-variant of one program goes to the replica that
+// already holds its results.
 type Ring struct {
 	names  []string
 	points []ringPoint
@@ -74,7 +71,7 @@ func (r *Ring) Backends() int { return len(r.names) }
 
 // start returns the index into points where the clockwise walk for d
 // begins: the first point at or after the digest's position, wrapping.
-func (r *Ring) start(d Digest) int {
+func (r *Ring) start(d memo.Digest) int {
 	h := binary.BigEndian.Uint64(d[:8])
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -85,14 +82,14 @@ func (r *Ring) start(d Digest) int {
 
 // Owner returns the backend index that owns d when every backend is
 // eligible.
-func (r *Ring) Owner(d Digest) int { return r.points[r.start(d)].backend }
+func (r *Ring) Owner(d memo.Digest) int { return r.points[r.start(d)].backend }
 
 // Candidates returns every backend index exactly once, ordered by the
 // clockwise walk from d's ring position: Candidates(d)[0] is the owner,
 // and when the first k candidates are dead, Candidates(d)[k] is exactly
 // where consistent hashing moves the key. Callers take the first eligible
 // entry.
-func (r *Ring) Candidates(d Digest) []int {
+func (r *Ring) Candidates(d memo.Digest) []int {
 	out := make([]int, 0, len(r.names))
 	seen := make([]bool, len(r.names))
 	start := r.start(d)

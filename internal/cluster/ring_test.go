@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/memo"
 )
 
-func testDigests(n int) []Digest {
-	out := make([]Digest, n)
+func testDigests(n int) []memo.Digest {
+	out := make([]memo.Digest, n)
 	for i := range out {
-		out[i] = DigestOf(fmt.Sprintf("program %d", i))
+		out[i] = memo.SourceDigest(fmt.Sprintf("program %d", i))
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -87,7 +86,7 @@ func (g *Gateway) fetchBackendTraces(ctx context.Context, id string) []*obs.Expo
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			cctx, cancel := context.WithTimeout(ctx, debugScrapeTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(cctx, http.MethodGet, b.name+"/debug/traces/"+id, nil)
 			if err != nil {

@@ -261,7 +261,7 @@ func TestGatewaySamplingDisabled(t *testing.T) {
 // trace shows the failed route attempt and the retry as separate spans.
 func TestGatewayRetrySpans(t *testing.T) {
 	f := newFleet(t, 3, service.Config{})
-	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2, RetryBackoff: 1})
+	g, gts := newTestGateway(t, f.urls, Config{MaxRetries: 2})
 	const owner = 0
 	src := ownedBy(t, g, owner)
 	f.wraps[owner].mu.Lock()

@@ -113,6 +113,9 @@ type Exporter struct {
 	exported uint64
 }
 
+// RetainedTraces is the capacity of each tier's /debug/traces ring.
+const RetainedTraces = 256
+
 // NewExporter builds an exporter retaining up to ringSize traces,
 // head-sampling 1 in sampleN new traces (0 or negative disables sampling,
 // 1 samples everything), and always retaining requests at least slow

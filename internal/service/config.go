@@ -27,12 +27,6 @@ type Config struct {
 	// Workers bounds the number of analyses executing at once, across all
 	// requests (single and batch). 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism sets the per-analysis sweep worker count passed to
-	// siwa.Options.Parallelism. 0 means 1 (serial): the worker pool
-	// already runs Workers analyses concurrently, so intra-analysis
-	// parallelism is opt-in for deployments that prioritize single-request
-	// latency over throughput. Negative means GOMAXPROCS.
-	Parallelism int
 	// QueueDepth bounds how many admitted analyses may wait for a worker
 	// slot; beyond it requests are shed with HTTP 429 and a Retry-After
 	// header instead of queueing without bound. 0 means 4x Workers;
@@ -72,7 +66,7 @@ type Config struct {
 	// admitting: a request arriving with less is shed outright with a
 	// timeout error and counted in siwa_deadline_shed_total, because its
 	// caller's deadline will pass before any useful work completes.
-	// 0 means 5ms.
+	// 0 means MinAttemptBudget.
 	DeadlineFloor time.Duration
 	// ShutdownGrace bounds how long Run waits for in-flight requests to
 	// drain after its context is cancelled. 0 means 10s.
@@ -94,10 +88,17 @@ type Config struct {
 	// the trace ring and logged at WARN with their stage breakdown. 0
 	// means 1s; negative disables the slow path.
 	SlowThreshold time.Duration
-	// TraceRing caps the in-memory ring of retained traces served at
-	// /debug/traces. 0 means 256.
-	TraceRing int
 }
+
+// MinAttemptBudget is the smallest deadline budget worth spending on an
+// attempt. It is the replica's default admission floor, and the gateway
+// stops retrying and hedging once less than this is left.
+const MinAttemptBudget = 5 * time.Millisecond
+
+// analysisParallelism is the sweep worker count inside each analysis:
+// serial, because the worker pool already runs Workers analyses at once.
+// Verdicts are identical at any setting.
+const analysisParallelism = 1
 
 // Default returns the standard service configuration.
 func Default() Config {
@@ -111,11 +112,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
-	} else if c.Parallelism < 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth == 0 {
 		// Negative stays negative (NewPool clamps it to an empty queue),
@@ -141,7 +137,7 @@ func (c Config) Normalize() Config {
 		c.MaxTimeout = 5 * time.Minute
 	}
 	if c.DeadlineFloor <= 0 {
-		c.DeadlineFloor = 5 * time.Millisecond
+		c.DeadlineFloor = MinAttemptBudget
 	}
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
@@ -152,26 +148,21 @@ func (c Config) Normalize() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = time.Second
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
 	return c
 }
 
-// timeoutFor resolves a client-requested timeout in milliseconds against
-// the configured default and clamp.
-func (c Config) timeoutFor(timeoutMs int64) (time.Duration, error) {
+// ResolveTimeout resolves a client-requested timeoutMs against a default
+// and a clamp. Both tiers call it, so they agree on every request's
+// budget.
+func ResolveTimeout(timeoutMs int64, def, clamp time.Duration) (time.Duration, error) {
 	if timeoutMs < 0 {
 		return 0, fmt.Errorf("timeoutMs must be >= 0, got %d", timeoutMs)
 	}
-	d := c.DefaultTimeout
+	d := def
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if d > c.MaxTimeout {
-		d = c.MaxTimeout
-	}
-	return d, nil
+	return min(d, clamp), nil
 }
 
 // DeadlineHeader carries the caller's remaining deadline budget in

@@ -224,7 +224,7 @@ func (s *Server) analyzeOne(ctx context.Context, source string, opt siwa.Options
 	// are timing-dependent (also never cached), and the cache changes
 	// where artifacts come from, not what they are.
 	opt.Limits = s.cfg.Limits
-	opt.Parallelism = s.cfg.Parallelism
+	opt.Parallelism = analysisParallelism
 	opt.StageCache = s.cache
 	var out analyzeOutcome
 	var runErr error
@@ -320,7 +320,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	algo := opt.Algorithm.String()
 	th := obs.TraceFromContext(r.Context())
 	th.RootSpan().SetAttr("algorithm", algo)
-	d, err := s.cfg.timeoutFor(req.TimeoutMs)
+	d, err := ResolveTimeout(req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if err != nil {
 		reject(CodeInvalidRequest, err)
 		return
@@ -396,7 +396,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.edge.LogRequest(r, "batch", CodeInvalidRequest.Status(), start, slog.String("error", "batch too large"))
 		return
 	}
-	d, err := s.cfg.timeoutFor(req.TimeoutMs)
+	d, err := ResolveTimeout(req.TimeoutMs, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if err != nil {
 		reject(CodeInvalidRequest, err)
 		return

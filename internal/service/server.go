@@ -33,7 +33,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers, cfg.QueueDepth),
 		metrics:  newMetrics(),
-		exporter: obs.NewExporter(cfg.TraceRing, cfg.TraceSample, cfg.SlowThreshold),
+		exporter: obs.NewExporter(obs.RetainedTraces, cfg.TraceSample, cfg.SlowThreshold),
 	}
 	if cfg.StageCacheMB > 0 {
 		s.cache = siwa.NewStageCache(int64(cfg.StageCacheMB) << 20)

@@ -397,19 +397,3 @@ func TestDebugTracesNotTraced(t *testing.T) {
 		t.Fatalf("debug traffic was traced: %+v", list)
 	}
 }
-
-// TestTraceRingConfig: the ring size is honored.
-func TestTraceRingConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{TraceRing: 2})
-	for i := 0; i < 5; i++ {
-		postRaw(t, ts.URL+"/v1/analyze", analyzeBody(t, workload.Ring(3+i).String()), nil)
-	}
-	_, body := getBody(t, ts.URL+"/debug/traces")
-	var list obs.TraceList
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Traces) != 2 || list.Retained != 5 {
-		t.Fatalf("ring: %d traces, retained=%d", len(list.Traces), list.Retained)
-	}
-}

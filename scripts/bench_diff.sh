@@ -32,7 +32,7 @@ THRESHOLD="${THRESHOLD:-15}"
 
 # Chosen on a shared 2-vCPU VM so that identical builds pass ten runs in
 # a row and a 20% slowdown of one pin fails every run (figures in
-# CHANGES.md). A run takes about eleven minutes there.
+# CHANGES.md). A run takes about five minutes there.
 ROUNDS=30
 BENCHTIME=40ms
 COUNT=5

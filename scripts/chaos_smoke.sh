@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# E2E chaos smoke: boot a gateway (hedging + retry budgets on) over two
-# real replicas, brown out the wire to one of them via SIWA_FAULTS
-# network-layer latency injection, and assert a client request under a
-# deadline budget still completes fast — i.e. hedged requests route
-# around a slow wire over real HTTP, not just in in-process tests — with
-# the hedge visible in the gateway's own /metrics.
+# E2E chaos smoke: boot a gateway over two real replicas, opting in to
+# hedging (off by default) with a retry budget sized for the drill, brown
+# out the wire to one of them via SIWA_FAULTS network-layer latency
+# injection, and assert a client request under a deadline still completes
+# fast — i.e. hedged requests route around a slow wire over real HTTP,
+# not just in in-process tests — with the hedge visible in the gateway's
+# own /metrics.
 #
 # Usage: scripts/chaos_smoke.sh [base-port]   (default 18200)
 set -euo pipefail
