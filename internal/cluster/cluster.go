@@ -10,11 +10,13 @@
 // breakers over transport outcomes (breaker.go); a dead backend's keys
 // move to each key's ring successor and everything else stays put.
 //
-// The proxy path (proxy.go) deduplicates identical in-flight analyze
-// bodies (single-flight), retries 429/503 responses with bounded backoff
-// honoring upstream Retry-After, and otherwise relays upstream bodies
-// byte-for-byte — the gateway never rewraps a well-formed error from the
-// service error taxonomy. Batches (batch.go) are sharded by digest,
+// The proxy path (proxy.go) answers an exact repeat of a single analyze
+// body from its own report cache once the owning replica has served that
+// body from its cache (reportcache.go), deduplicates identical in-flight
+// analyze bodies (single-flight), retries 429/503 responses with bounded
+// backoff honoring upstream Retry-After, and otherwise relays upstream
+// bodies byte-for-byte — the gateway never rewraps a well-formed error
+// from the service error taxonomy. Batches (batch.go) are sharded by digest,
 // streamed to each owner in chunks, and merged back in request order;
 // items whose replica dies mid-flight come back with the taxonomy code
 // "unavailable" instead of failing the batch. cmd/siwad-gateway wires
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -185,11 +188,23 @@ type backend struct {
 	breaker *Breaker
 	retry   *retryBudget // per-backend retry tokens; nil when disabled
 	up      atomic.Bool  // latest /healthz + /readyz verdict; starts true
+	// instance is the replica instance id the latest successful probe
+	// read from /readyz; nil until one has.
+	instance atomic.Pointer[string]
 }
 
 // eligible reports whether new work may be routed here right now, without
 // consuming the breaker's half-open probe slot.
 func (b *backend) eligible() bool { return b.up.Load() && b.breaker.Ready() }
+
+// instanceID is the replica instance id last probed at this URL, "" before
+// any probe has reported one.
+func (b *backend) instanceID() string {
+	if p := b.instance.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
 
 // Gateway routes analyze traffic across the configured replicas.
 // Construct with New; serve with Run, or mount Handler under httptest and
@@ -200,6 +215,7 @@ type Gateway struct {
 	backends    []*backend
 	metrics     *Metrics
 	flights     *flightGroup
+	reports     *memo.Cache // single-analyze reports by exact request body
 	exporter    *obs.Exporter
 	client      *http.Client
 	edge        *service.Edge
@@ -223,6 +239,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		ring:    NewRing(cfg.Backends, virtualNodes),
 		flights: newFlightGroup(cfg.MaxTimeout),
+		reports: memo.New(reportCacheBytes),
 		// One shared client: keep-alive connection reuse to every replica
 		// is what keeps the proxy hop cheap. The fault wrapper is free
 		// (one atomic load) until SIWA_FAULTS arms a gateway.net.* point,

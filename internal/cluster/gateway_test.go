@@ -73,12 +73,20 @@ func (wr *wrapped) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		return
 	}
-	delay := wr.delay
+	delay, next := wr.delay, wr.next
 	wr.mu.Unlock()
 	if analyzePath && delay > 0 {
 		time.Sleep(delay)
 	}
-	wr.next.ServeHTTP(w, r)
+	next.ServeHTTP(w, r)
+}
+
+// replace puts a different replica behind the same URL, as a restart
+// would.
+func (wr *wrapped) replace(next http.Handler) {
+	wr.mu.Lock()
+	wr.next = next
+	wr.mu.Unlock()
 }
 
 func (wr *wrapped) analyzeCalls() int {
@@ -198,10 +206,13 @@ func promCounter(t *testing.T, text, name string) uint64 {
 // TestGatewayDigestAffinityCacheHitRate is the headline acceptance test:
 // the same shuffled request sequence is played through a 3-replica
 // cluster (via the gateway) and through one standalone replica, and the
-// fleet's aggregate cache hit/miss counters — scraped from each
-// replica's own /metrics — must equal the single node's exactly. Digest
-// affinity means a fleet caches like one big node: M distinct programs
-// cost M misses total, no matter which replica's cache holds each one.
+// fleet must answer from cache exactly as often as the single node.
+// Digest affinity means a fleet caches like one big node: M distinct
+// programs cost M misses total, no matter which replica's cache holds
+// each one. The fleet's cache answers come from two places: each
+// replica's own report cache (scraped from its /metrics) answers a
+// program's first repeat, and the gateway's report cache, filled by that
+// replica hit, answers every later one.
 func TestGatewayDigestAffinityCacheHitRate(t *testing.T) {
 	const M, repeats = 12, 4
 	sources := make([]string, M)
@@ -217,7 +228,7 @@ func TestGatewayDigestAffinityCacheHitRate(t *testing.T) {
 	rand.New(rand.NewSource(42)).Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 
 	f := newFleet(t, 3, service.Config{})
-	_, gts := newTestGateway(t, f.urls, Config{})
+	g, gts := newTestGateway(t, f.urls, Config{})
 	for _, si := range seq {
 		resp, data := postJSON(t, gts.URL+"/v1/analyze", service.AnalyzeRequest{Source: sources[si]})
 		if resp.StatusCode != http.StatusOK {
@@ -251,9 +262,14 @@ func TestGatewayDigestAffinityCacheHitRate(t *testing.T) {
 	if singleMisses != M || singleHits != M*(repeats-1) {
 		t.Fatalf("single-node control off: hits=%d misses=%d", singleHits, singleMisses)
 	}
-	if fleetMisses != singleMisses || fleetHits != singleHits {
-		t.Fatalf("fleet cache rate differs from single node: fleet hits=%d misses=%d, single hits=%d misses=%d",
-			fleetHits, fleetMisses, singleHits, singleMisses)
+	gatewayHits := g.Metrics().ReportHits.Load()
+	if fleetMisses != singleMisses || fleetHits+gatewayHits != singleHits {
+		t.Fatalf("fleet cache rate differs from single node: replica hits=%d misses=%d, gateway hits=%d; single hits=%d misses=%d",
+			fleetHits, fleetMisses, gatewayHits, singleHits, singleMisses)
+	}
+	if fleetHits != M || gatewayHits != M*(repeats-2) {
+		t.Fatalf("replica hits=%d gateway hits=%d, want %d and %d: each program's first repeat is a replica hit, later ones gateway hits",
+			fleetHits, gatewayHits, M, M*(repeats-2))
 	}
 }
 
@@ -721,6 +737,10 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		"siwa_gateway_unavailable_total",
 		"siwa_gateway_panics_total",
 		`siwa_gateway_batch_items_total{outcome="ok"} 1`,
+		"siwa_gateway_report_cache_hits_total 0",
+		"siwa_gateway_report_cache_misses_total 1",
+		"siwa_gateway_report_cache_stale_total 0",
+		"siwa_gateway_report_cache_entries 0",
 		"siwa_gateway_backend_requests_total{backend=",
 		"siwa_gateway_backend_failures_total{backend=",
 		"siwa_gateway_backend_up{backend=",
@@ -745,6 +765,12 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		"siwa_gateway_retry_budget_exhausted_total": "counter",
 		"siwa_gateway_retry_budget_tokens":          "gauge",
 		"siwa_gateway_batch_items_total":            "counter",
+		"siwa_gateway_report_cache_hits_total":      "counter",
+		"siwa_gateway_report_cache_misses_total":    "counter",
+		"siwa_gateway_report_cache_stale_total":     "counter",
+		"siwa_gateway_report_cache_evictions_total": "counter",
+		"siwa_gateway_report_cache_bytes":           "gauge",
+		"siwa_gateway_report_cache_entries":         "gauge",
 		"siwa_gateway_backend_requests_total":       "counter",
 		"siwa_gateway_backend_failures_total":       "counter",
 		"siwa_gateway_backend_up":                   "gauge",

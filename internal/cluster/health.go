@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
+
+	"repro/internal/service"
 )
 
 // healthTimeout bounds each probe round trip.
@@ -14,7 +18,10 @@ const healthTimeout = time.Second
 // process is alive, /readyz proves it is accepting new work (a draining
 // replica answers 503 there while it finishes in-flight requests, and
 // must stop receiving traffic before it disappears). Both must be 200.
-func (g *Gateway) probe(ctx context.Context, b *backend) bool {
+// It also returns the instance id the /readyz body names ("" when it
+// names none).
+func (g *Gateway) probe(ctx context.Context, b *backend) (string, bool) {
+	var ready service.Readiness
 	for _, path := range []string{"/healthz", "/readyz"} {
 		pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 		ok := func() bool {
@@ -26,26 +33,35 @@ func (g *Gateway) probe(ctx context.Context, b *backend) bool {
 			if err != nil {
 				return false
 			}
-			resp.Body.Close()
+			defer resp.Body.Close()
+			if path == "/readyz" {
+				// A body that does not decode names no instance.
+				_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<10)).Decode(&ready)
+			}
 			return resp.StatusCode == http.StatusOK
 		}()
 		cancel()
 		if !ok {
-			return false
+			return "", false
 		}
 	}
-	return true
+	return ready.Instance, true
 }
 
 // CheckNow probes every backend once, in parallel, and updates their
-// up/down state. Tests call it directly for deterministic health
-// transitions; RunChecker calls it on a timer.
+// up/down state and instance ids. Tests call it directly for
+// deterministic health transitions; RunChecker calls it on a timer.
 func (g *Gateway) CheckNow(ctx context.Context) {
 	done := make(chan struct{}, len(g.backends))
 	for _, b := range g.backends {
 		go func(b *backend) {
 			defer func() { done <- struct{}{} }()
-			up := g.probe(ctx, b)
+			instance, up := g.probe(ctx, b)
+			if up {
+				// The id goes in before up does, so a replaced replica
+				// never looks up while its predecessor's id is current.
+				b.instance.Store(&instance)
+			}
 			was := b.up.Swap(up)
 			if was != up && g.cfg.Logger != nil {
 				level := slog.LevelWarn

@@ -42,16 +42,24 @@ func identityPrograms(n int) []string {
 	return srcs
 }
 
-// TestReportBytesIdenticalAcrossTiers is the surface oracle for the four
+// TestReportBytesIdenticalAcrossTiers is the surface oracle for the five
 // paths that render analyze responses: replica single, replica batch,
-// gateway single and gateway batch. Every raw "report" value served, on a
-// cold pass and again from the result cache, must be byte for byte the
+// gateway single (relayed, or answered from the gateway's report cache)
+// and gateway batch. Every raw "report" value served, on a cold pass,
+// again from the replicas' caches, and a third time with the gateway's
+// singles answered by the gateway alone, must be byte for byte the
 // library's json.Marshal(rep.JSONReport()) with no stage cache: the
 // report is marshalled once and spliced, never re-encoded.
 func TestReportBytesIdenticalAcrossTiers(t *testing.T) {
 	srcs := identityPrograms(56)
 	f := newFleet(t, 2, service.Config{})
-	_, gw := newTestGateway(t, f.urls, Config{})
+	g, gw := newTestGateway(t, f.urls, Config{})
+	replicaAnalyzes := func() (n uint64) {
+		for _, s := range f.servers {
+			n += s.Metrics().RequestsAnalyze.Load()
+		}
+		return n
+	}
 
 	type single struct {
 		Report json.RawMessage `json:"report"`
@@ -87,20 +95,28 @@ func TestReportBytesIdenticalAcrossTiers(t *testing.T) {
 				t.Fatalf("%s %s pass %d program %d: report bytes differ\n got %s\nwant %s",
 					algo, path, pass, i, got, want[i])
 			}
-			if pass == 1 && !cached {
-				t.Errorf("%s %s pass 2 program %d: not served from the result cache", algo, path, i)
+			if pass > 0 && !cached {
+				t.Errorf("%s %s pass %d program %d: not served from the result cache", algo, path, pass+1, i)
 			}
 		}
-		for pass := 0; pass < 2; pass++ {
+		for pass := 0; pass < 3; pass++ {
+			hitsBefore := g.Metrics().ReportHits.Load()
 			for i, src := range srcs {
 				req := service.AnalyzeRequest{Source: src, Options: opts}
+				// The gateway goes first, so its own request is the owning
+				// replica's first sight of the body even when the direct
+				// replica single lands on the owner.
 				for _, target := range []struct{ path, url string }{
-					{"replica single", f.urls[i%len(f.urls)]},
 					{"gateway single", gw.URL},
+					{"replica single", f.urls[i%len(f.urls)]},
 				} {
+					before := replicaAnalyzes()
 					resp, data := postJSON(t, target.url+"/v1/analyze", req)
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("%s program %d: HTTP %d %s", target.path, i, resp.StatusCode, data)
+					}
+					if pass == 2 && target.url == gw.URL && replicaAnalyzes() != before {
+						t.Errorf("%s pass 3 program %d: a replica was asked; the gateway's report cache should answer", algo, i)
 					}
 					var out single
 					if err := json.Unmarshal(data, &out); err != nil {
@@ -108,6 +124,15 @@ func TestReportBytesIdenticalAcrossTiers(t *testing.T) {
 					}
 					check(target.path, pass, i, out.Report, out.Cached)
 				}
+			}
+			// Only the third pass repeats a body the owning replica has
+			// already answered from its cache.
+			wantHits := uint64(0)
+			if pass == 2 {
+				wantHits = uint64(len(srcs))
+			}
+			if got := g.Metrics().ReportHits.Load() - hitsBefore; got != wantHits {
+				t.Errorf("%s pass %d: %d gateway report-cache hits, want %d", algo, pass+1, got, wantHits)
 			}
 			progs := make([]service.BatchProgram, len(srcs))
 			for i, src := range srcs {

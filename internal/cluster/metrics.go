@@ -35,6 +35,9 @@ type Metrics struct {
 	ItemsError       atomic.Uint64 // batch items with an upstream error code
 	ItemsUnavailable atomic.Uint64 // batch items lost to a dead replica
 
+	ReportHits  atomic.Uint64 // analyze requests answered from the report cache
+	ReportStale atomic.Uint64 // entries refused: their replica restarted or is down
+
 	perBackend map[string]*BackendMetrics
 	order      []string // stable exposition order = config order
 }
@@ -66,6 +69,12 @@ var (
 	famRetryBudgetExhausted = obs.Family{Name: "siwa_gateway_retry_budget_exhausted_total", Help: "retries suppressed because the retry budget was empty", Type: "counter"}
 	famRetryBudgetTokens    = obs.Family{Name: "siwa_gateway_retry_budget_tokens", Help: "retry tokens available", Type: "gauge", Labels: []string{"scope"}}
 	famBatchItems           = obs.Family{Name: "siwa_gateway_batch_items_total", Help: "per-item outcomes inside proxied batches", Type: "counter", Labels: []string{"outcome"}}
+	famReportHits           = obs.Family{Name: "siwa_gateway_report_cache_hits_total", Help: "analyze requests the gateway answered from its report cache", Type: "counter"}
+	famReportMisses         = obs.Family{Name: "siwa_gateway_report_cache_misses_total", Help: "analyze requests whose exact body had no report cache entry", Type: "counter"}
+	famReportStale          = obs.Family{Name: "siwa_gateway_report_cache_stale_total", Help: "report cache entries refused because the replica that produced them restarted or is down", Type: "counter"}
+	famReportEvictions      = obs.Family{Name: "siwa_gateway_report_cache_evictions_total", Help: "report cache entries evicted by the byte budget", Type: "counter"}
+	famReportBytes          = obs.Family{Name: "siwa_gateway_report_cache_bytes", Help: "report cache resident bytes", Type: "gauge"}
+	famReportEntries        = obs.Family{Name: "siwa_gateway_report_cache_entries", Help: "report cache current entries", Type: "gauge"}
 	famBackendRequests      = obs.Family{Name: "siwa_gateway_backend_requests_total", Help: "upstream requests per backend", Type: "counter", Labels: []string{"backend"}}
 	famBackendFailures      = obs.Family{Name: "siwa_gateway_backend_failures_total", Help: "transport-level failures per backend", Type: "counter", Labels: []string{"backend"}}
 	famBackendUp            = obs.Family{Name: "siwa_gateway_backend_up", Help: "latest active health probe verdict (1 up, 0 down)", Type: "gauge", Labels: []string{"backend"}}
@@ -98,6 +107,13 @@ func (m *Metrics) WriteTo(w io.Writer, g *Gateway) {
 	famBatchItems.Sample(w, m.ItemsOK.Load(), "ok")
 	famBatchItems.Sample(w, m.ItemsError.Load(), "error")
 	famBatchItems.Sample(w, m.ItemsUnavailable.Load(), service.CodeUnavailable.String())
+	rs := g.reports.Stats()
+	famReportHits.Write(w, m.ReportHits.Load())
+	famReportMisses.Write(w, rs.Misses)
+	famReportStale.Write(w, m.ReportStale.Load())
+	famReportEvictions.Write(w, rs.Evictions)
+	famReportBytes.Write(w, rs.Bytes)
+	famReportEntries.Write(w, rs.Entries)
 
 	famBackendRequests.Head(w)
 	for _, name := range m.order {

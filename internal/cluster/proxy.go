@@ -29,7 +29,12 @@ type upstream struct {
 	contentType string
 	retryAfter  string
 	body        []byte
-	backend     string
+	backend     *backend
+	// instance is the backend's probed instance id when the request was
+	// sent, and cacheHit records the replica's service.CacheHeader: what
+	// the report cache needs to store the answer.
+	instance string
+	cacheHit bool
 	// budgetExhausted marks a response whose retries were cut off by the
 	// retry budget rather than MaxRetries; relay surfaces it as the
 	// X-Retry-Budget: exhausted header so clients can tell "the fleet is
@@ -148,6 +153,9 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	if tp := obs.TraceFromContext(ctx).Traceparent(sp); tp != "" {
 		req.Header.Set(obs.TraceparentHeader, tp)
 	}
+	// Read before the send: if the replica is replaced meanwhile, the
+	// answer carries the old id and the report cache treats it as stale.
+	instance := b.instanceID()
 	resp, err := g.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -186,7 +194,9 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 		contentType: resp.Header.Get("Content-Type"),
 		retryAfter:  resp.Header.Get("Retry-After"),
 		body:        data,
-		backend:     b.name,
+		backend:     b,
+		instance:    instance,
+		cacheHit:    resp.Header.Get(service.CacheHeader) == service.CacheHit,
 	}, nil
 }
 
@@ -487,6 +497,21 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
+	// The exact body keys both the report cache and single-flight. A repeat
+	// the owning replica already answered from its own cache is answered
+	// here, before any decode.
+	key := sha256.Sum256(body)
+	th := obs.TraceFromContext(r.Context())
+	if report, ok := g.cachedReport(key); ok {
+		th.RootSpan().SetAttr("report_cache", "hit")
+		service.WriteJSON(w, http.StatusOK, service.AnalyzeResponse{
+			Report:    report,
+			Cached:    true,
+			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
+		})
+		g.edge.LogRequest(r, "analyze", http.StatusOK, start, slog.Bool("cached", true))
+		return
+	}
 	// The gateway needs only the source (for the routing digest) and the
 	// timeout (for the deadline); the replica owns full validation. A body
 	// that is not JSON at all cannot be routed and is rejected here.
@@ -500,10 +525,13 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	rctx, cancel := g.withDeadline(r.Context(), req.TimeoutMs)
 	defer cancel()
-	res, err, shared := g.flights.do(rctx, sha256.Sum256(body), func(ctx context.Context) (*upstream, error) {
-		return g.forward(ctx, memo.SourceDigest(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
+	res, err, shared := g.flights.do(rctx, key, func(ctx context.Context) (*upstream, error) {
+		res, err := g.forward(ctx, memo.SourceDigest(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
+		if err == nil {
+			g.storeReport(key, res)
+		}
+		return res, err
 	})
-	th := obs.TraceFromContext(r.Context())
 	if shared {
 		g.metrics.Dedup.Add(1)
 		// A follower executed nothing: its trace shows one retroactive span
@@ -511,7 +539,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		sp := th.RootSpan().StartChild("single-flight-wait")
 		sp.Start = start
 		if res != nil {
-			sp.SetAttr("backend", res.backend)
+			sp.SetAttr("backend", res.backend.name)
 		}
 		sp.End()
 	}
@@ -520,10 +548,10 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		g.edge.LogRequest(r, "analyze", code.Status(), start, slog.String("code", code.String()))
 		return
 	}
-	th.RootSpan().SetAttr("backend", res.backend)
+	th.RootSpan().SetAttr("backend", res.backend.name)
 	res.relay(w)
 	g.edge.LogRequest(r, "analyze", res.status, start,
-		slog.String("backend", res.backend),
+		slog.String("backend", res.backend.name),
 		slog.Bool("deduped", shared))
 }
 

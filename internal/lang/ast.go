@@ -18,6 +18,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unsafe"
 )
@@ -240,12 +241,12 @@ func (p *Program) AssignLabels() {
 				case *Send:
 					n++
 					if v.Lbl == "" {
-						v.Lbl = fmt.Sprintf("%s.s%d", t.Name, n)
+						v.Lbl = t.Name + ".s" + strconv.Itoa(n)
 					}
 				case *Accept:
 					n++
 					if v.Lbl == "" {
-						v.Lbl = fmt.Sprintf("%s.a%d", t.Name, n)
+						v.Lbl = t.Name + ".a" + strconv.Itoa(n)
 					}
 				case *If:
 					walk(v.Then)

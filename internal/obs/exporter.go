@@ -116,13 +116,14 @@ type Exporter struct {
 // RetainedTraces is the capacity of each tier's /debug/traces ring.
 const RetainedTraces = 256
 
-// NewExporter builds an exporter retaining up to ringSize traces,
-// head-sampling 1 in sampleN new traces (0 or negative disables sampling,
-// 1 samples everything), and always retaining requests at least slow
-// long (0 or negative disables the slow path).
+// NewExporter builds an exporter retaining up to ringSize traces (at
+// least 1; both tiers pass RetainedTraces), head-sampling 1 in sampleN
+// new traces (0 or negative disables sampling, 1 samples everything),
+// and always retaining requests at least slow long (0 or negative
+// disables the slow path). A ringSize below 1 panics.
 func NewExporter(ringSize, sampleN int, slow time.Duration) *Exporter {
-	if ringSize <= 0 {
-		ringSize = 64
+	if ringSize < 1 {
+		panic("obs: trace ring size must be at least 1")
 	}
 	return &Exporter{
 		sampleN: sampleN,

@@ -348,3 +348,19 @@ func TestExporterNilSafety(t *testing.T) {
 		t.Fatalf("nil List: %+v", list)
 	}
 }
+
+// TestNewExporterRejectsEmptyRing: the ring size has one home, the
+// caller's argument. A size below 1 is a bug and panics at construction
+// instead of quietly becoming some other size.
+func TestNewExporterRejectsEmptyRing(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewExporter(%d, 1, 0) did not panic", n)
+				}
+			}()
+			NewExporter(n, 1, 0)
+		}()
+	}
+}

@@ -20,7 +20,7 @@ import (
 )
 
 // Config shapes a Server. The zero value is not usable directly; call
-// Default or Normalize to fill unset fields.
+// Normalize (New does) to fill unset fields.
 type Config struct {
 	// Addr is the listen address for Server.Run ("host:port").
 	Addr string
@@ -100,11 +100,6 @@ const MinAttemptBudget = 5 * time.Millisecond
 // Verdicts are identical at any setting.
 const analysisParallelism = 1
 
-// Default returns the standard service configuration.
-func Default() Config {
-	return Config{Addr: ":8080"}.Normalize()
-}
-
 // Normalize fills unset fields with their defaults and returns the result.
 func (c Config) Normalize() Config {
 	if c.Addr == "" {
@@ -170,6 +165,15 @@ func ResolveTimeout(timeoutMs int64, def, clamp time.Duration) (time.Duration, e
 // duration, not a wall-clock timestamp, so clock skew between gateway and
 // replica cannot corrupt it (the gRPC-style convention).
 const DeadlineHeader = "X-Deadline-Ms"
+
+// CacheHeader marks an analyze response whose report this replica served
+// from its own report cache, with the value CacheHit. The cluster gateway
+// keeps such a report for the exact request body, so traffic asked once
+// never fills the gateway's cache.
+const (
+	CacheHeader = "X-Cache"
+	CacheHit    = "hit"
+)
 
 // deadlineBudget folds the propagated X-Deadline-Ms budget into the
 // request's resolved timeout d: the effective deadline is the smaller of

@@ -339,6 +339,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		th.RootSpan().Set("degraded", 1)
 	}
 	if err == nil {
+		if out.cached {
+			w.Header().Set(CacheHeader, CacheHit)
+		}
 		WriteJSON(w, http.StatusOK, AnalyzeResponse{
 			Report:    out.report,
 			Cached:    out.cached,
@@ -536,6 +539,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// Readiness is the /readyz body. Instance is the random id New draws for
+// each Server, so a prober can tell a replaced replica behind the same
+// URL from the one it saw before.
+type Readiness struct {
+	Status   string `json:"status"`
+	Instance string `json:"instance"`
+}
+
 // handleReadyz is the readiness probe, distinct from liveness: a draining
 // server (graceful shutdown in progress) answers 503 so load balancers
 // stop routing new work here, while /healthz stays green because the
@@ -545,10 +556,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // cluster gateway's health checker consumes this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.edge.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, Readiness{Status: "draining", Instance: s.instance})
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, Readiness{Status: "ready", Instance: s.instance})
 }
 
 // shedDeadline rejects a request whose propagated deadline budget

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -24,6 +26,7 @@ type Server struct {
 	metrics  *Metrics
 	exporter *obs.Exporter
 	edge     *Edge
+	instance string // random per Server; reported on /readyz
 }
 
 // New builds a Server from cfg (normalized first).
@@ -34,6 +37,7 @@ func New(cfg Config) *Server {
 		pool:     NewPool(cfg.Workers, cfg.QueueDepth),
 		metrics:  newMetrics(),
 		exporter: obs.NewExporter(obs.RetainedTraces, cfg.TraceSample, cfg.SlowThreshold),
+		instance: fmt.Sprintf("%016x", rand.Uint64()),
 	}
 	if cfg.StageCacheMB > 0 {
 		s.cache = siwa.NewStageCache(int64(cfg.StageCacheMB) << 20)

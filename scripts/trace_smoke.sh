@@ -3,6 +3,9 @@
 # analyze through the gateway, and assert the SAME trace id is retained
 # in both tiers' /debug/traces — i.e. W3C traceparent propagation and
 # cross-process stitching work over real HTTP, not just in-process tests.
+# Then send the same analyze twice more: the owning replica answers the
+# second from its cache, and the gateway answers the third from its own
+# report cache without reaching a replica.
 #
 # Usage: scripts/trace_smoke.sh [base-port]   (default 18080)
 set -euo pipefail
@@ -46,10 +49,16 @@ PIDS+=($!)
 
 wait_ready "$GW"
 
-echo "== one analyze through the gateway"
-TID=$(curl -sfD- -o /dev/null "http://127.0.0.1:$GW/v1/analyze" -d '{
+# analyze sends the smoke's analyze through the gateway, leaves the
+# response body in $BIN/body and prints the response's trace id.
+analyze() {
+	curl -sfD- -o "$BIN/body" "http://127.0.0.1:$GW/v1/analyze" -d '{
 	"source": "task a is begin b.m; accept m; end; task b is begin a.m; accept m; end;"
-}' | tr -d '\r' | awk 'tolower($1) == "x-trace-id:" {print $2}')
+}' | tr -d '\r' | awk 'tolower($1) == "x-trace-id:" {print $2}'
+}
+
+echo "== one analyze through the gateway"
+TID=$(analyze)
 if ! [[ $TID =~ ^[0-9a-f]{32}$ ]]; then
 	echo "FAIL: no X-Trace-Id on the gateway response (got: '$TID')" >&2
 	exit 1
@@ -92,4 +101,24 @@ if ! grep -q '"eligible": *2' <<<"$STATUS"; then
 	exit 1
 fi
 
-echo "PASS: one trace id ($TID) across gateway and replica"
+echo "== the same analyze twice more: the gateway answers the third"
+analyze >/dev/null
+TID3=$(analyze)
+if ! grep -q '"cached":true' "$BIN/body"; then
+	echo "FAIL: the third answer is not cached" >&2
+	cat "$BIN/body" >&2
+	exit 1
+fi
+GWHITS=$(curl -sf "http://127.0.0.1:$GW/metrics" | awk '$1 == "siwa_gateway_report_cache_hits_total" {print $2}')
+if [ "$GWHITS" != 1 ]; then
+	echo "FAIL: gateway report-cache hits = '$GWHITS', want 1" >&2
+	exit 1
+fi
+for port in "$R1" "$R2"; do
+	if curl -sf "http://127.0.0.1:$port/debug/traces" | grep -q "$TID3"; then
+		echo "FAIL: replica on port $port retained the gateway-answered trace $TID3" >&2
+		exit 1
+	fi
+done
+
+echo "PASS: one trace id ($TID) across gateway and replica; the third repeat ($TID3) answered by the gateway"
