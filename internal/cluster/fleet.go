@@ -53,25 +53,12 @@ type FleetBackend struct {
 	Stages map[string]StageQuantiles `json:"stages,omitempty"`
 }
 
-// ReportCacheStatus is the gateway's own report cache inside
-// /v1/fleet/status. Requests it answers never reach a replica, so the
-// replicas' cacheHitRate alone undercounts the fleet's cached answers.
-type ReportCacheStatus struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Stale     uint64 `json:"stale"`
-	Evictions uint64 `json:"evictions"`
-	Bytes     int64  `json:"bytes"`
-	Entries   int    `json:"entries"`
-}
-
 // FleetStatus is the GET /v1/fleet/status body: one merged answer to "is
 // the fleet healthy and balanced".
 type FleetStatus struct {
-	Backends    []FleetBackend    `json:"backends"`
-	Total       int               `json:"total"`
-	Eligible    int               `json:"eligible"`
-	ReportCache ReportCacheStatus `json:"reportCache"`
+	Backends []FleetBackend `json:"backends"`
+	Total    int            `json:"total"`
+	Eligible int            `json:"eligible"`
 }
 
 // handleFleetStatus scrapes every backend's /metrics and /readyz in
@@ -79,19 +66,7 @@ type FleetStatus struct {
 // breaker states, ring ownership) into one JSON snapshot.
 func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	own := g.ring.Ownership()
-	rs := g.reports.Stats()
-	out := FleetStatus{
-		Backends: make([]FleetBackend, len(g.backends)),
-		Total:    len(g.backends),
-		ReportCache: ReportCacheStatus{
-			Hits:      g.metrics.ReportHits.Load(),
-			Misses:    rs.Misses,
-			Stale:     g.metrics.ReportStale.Load(),
-			Evictions: rs.Evictions,
-			Bytes:     rs.Bytes,
-			Entries:   rs.Entries,
-		},
-	}
+	out := FleetStatus{Backends: make([]FleetBackend, len(g.backends)), Total: len(g.backends)}
 	var wg sync.WaitGroup
 	for i, b := range g.backends {
 		out.Backends[i] = FleetBackend{

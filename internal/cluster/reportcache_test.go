@@ -62,13 +62,12 @@ func TestGatewayReportCacheAnswersThirdRepeat(t *testing.T) {
 			t.Fatalf("answer %d: report bytes differ\n got %s\nwant %s", i+1, got[i].Report, got[0].Report)
 		}
 	}
-	_, status := getBody(t, gts.URL+"/v1/fleet/status")
-	var fs FleetStatus
-	if err := json.Unmarshal([]byte(status), &fs); err != nil {
-		t.Fatal(err)
-	}
-	if rc := fs.ReportCache; rc.Hits != 1 || rc.Misses != 2 || rc.Stale != 0 || rc.Entries != 1 || rc.Bytes <= int64(len(got[0].Report)) {
-		t.Fatalf("fleet status reportCache %+v, want 1 hit, 2 misses, 0 stale, 1 entry", rc)
+	_, text := getBody(t, gts.URL+"/metrics")
+	m := parsePromText([]byte(text))
+	hits, misses := m.value(famReportHits.Name, nil), m.value(famReportMisses.Name, nil)
+	stale, entries := m.value(famReportStale.Name, nil), m.value(famReportEntries.Name, nil)
+	if hits != 1 || misses != 2 || stale != 0 || entries != 1 || m.value(famReportBytes.Name, nil) <= float64(len(got[0].Report)) {
+		t.Fatalf("report cache metrics: %v hits, %v misses, %v stale, %v entries; want 1, 2, 0, 1\n%s", hits, misses, stale, entries, text)
 	}
 
 	// The gateway-answered request's trace says so and reached no replica.
