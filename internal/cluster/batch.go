@@ -142,6 +142,7 @@ func (g *Gateway) scatter(ctx context.Context, meta batchMeta, items []batchItem
 		wg.Add(1)
 		go func(b *backend, shard []batchItem) {
 			defer wg.Done()
+			defer g.recoverShard(shard, results)
 			for off := 0; off < len(shard); off += g.cfg.BatchChunk {
 				end := off + g.cfg.BatchChunk
 				if end > len(shard) {
@@ -170,6 +171,22 @@ func (g *Gateway) scatter(ctx context.Context, meta batchMeta, items []batchItem
 		}(g.backends[ci], shard)
 	}
 	wg.Wait()
+}
+
+// recoverShard, deferred by each shard goroutine, contains a panic the
+// edge's recovery cannot see: it is counted, and each item of the shard
+// still without a result answers internal inside the batch's 200.
+func (g *Gateway) recoverShard(shard []batchItem, results []service.BatchResult) {
+	rec := recover()
+	if rec == nil {
+		return
+	}
+	g.metrics.Panics.Add(1)
+	for _, it := range shard {
+		if res := &results[it.idx]; res.Report == nil && res.ErrorCode == 0 {
+			*res = service.BatchResult{ID: it.prog.ID, Error: fmt.Sprintf("internal error: %v", rec), ErrorCode: service.CodeInternal}
+		}
+	}
 }
 
 // sendChunk forwards one sub-batch to its owner and merges the replica's

@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -214,8 +215,8 @@ type Gateway struct {
 	ring        *Ring
 	backends    []*backend
 	metrics     *Metrics
-	flights     *flightGroup
-	reports     *memo.Cache // single-analyze reports by exact request body
+	flights     *memo.Flight[[sha256.Size]byte, *upstream] // in-flight single analyzes by exact request body
+	reports     *memo.Cache                                // single-analyze reports by exact request body
 	exporter    *obs.Exporter
 	client      *http.Client
 	edge        *service.Edge
@@ -238,7 +239,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:     cfg,
 		ring:    NewRing(cfg.Backends, virtualNodes),
-		flights: newFlightGroup(cfg.MaxTimeout),
+		flights: memo.NewFlight[[sha256.Size]byte, *upstream](),
 		reports: memo.New(reportCacheBytes),
 		// One shared client: keep-alive connection reuse to every replica
 		// is what keeps the proxy hop cheap. The fault wrapper is free

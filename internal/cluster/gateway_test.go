@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -841,58 +840,48 @@ func TestGatewayServeDrain(t *testing.T) {
 	}
 }
 
-// TestFlightGroupLeaderCancelDoesNotPoisonFollowers pins the detachment
+// TestSingleFlightLeaderCancelDoesNotPoisonFollowers pins the detachment
 // of the single-flight leader's upstream call from its own request
-// context: when the leader's client disconnects mid-flight, followers
-// sharing the flight still get the real upstream result instead of the
-// leader's context.Canceled.
-func TestFlightGroupLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
-	fg := newFlightGroup(5 * time.Second)
-	key := sha256.Sum256([]byte("body"))
-	want := &upstream{status: http.StatusOK}
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	started := make(chan struct{})
+// context: when the leader's client goes away mid-flight, the upstream
+// call whose answer followers share keeps running, and the flight ends
+// with the replica's answer instead of the leader's context.Canceled.
+// Steps are ordered by channels alone.
+func TestSingleFlightLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
+	arrived := make(chan struct{})
 	release := make(chan struct{})
-	var wg sync.WaitGroup
-	var leaderRes, followerRes *upstream
-	var leaderErr, followerErr error
-	var followerShared bool
-	wg.Add(1)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived) // the test sends one request
+		<-release
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"report":{}}`)
+	}))
+	defer stub.Close()
+	g, _ := newTestGateway(t, []string{stub.URL}, Config{})
+	upstream := make(chan context.Context, 1)
+	next := g.client.Transport
+	g.client.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		upstream <- r.Context()
+		return next.RoundTrip(r)
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(service.AnalyzeRequest{Source: workload.Ring(3).String()})
+	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		leaderRes, leaderErr, _ = fg.do(leaderCtx, key, func(ctx context.Context) (*upstream, error) {
-			close(started)
-			<-release
-			// The point under test: the leader's cancellation must not
-			// reach the context the shared result is produced under.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return want, nil
-		})
+		defer close(served)
+		g.Handler().ServeHTTP(rec, req)
 	}()
-	<-started
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		followerRes, followerErr, followerShared = fg.do(context.Background(), key,
-			func(context.Context) (*upstream, error) {
-				t.Error("follower must not execute the flight")
-				return nil, nil
-			})
-	}()
-	// Give the follower a beat to block on the flight, then cancel the
-	// leader's request and let the upstream call finish.
-	time.Sleep(100 * time.Millisecond)
-	cancelLeader()
-	close(release)
-	wg.Wait()
-	if followerErr != nil || followerRes != want || !followerShared {
-		t.Fatalf("follower: res=%v err=%v shared=%v, want the leader's result shared",
-			followerRes, followerErr, followerShared)
+	<-arrived
+	cancel() // the leader's client goes away while the replica works
+	if err := (<-upstream).Err(); err != nil {
+		t.Fatalf("the leader's cancellation reached its upstream call: %v", err)
 	}
-	if leaderErr != nil || leaderRes != want {
-		t.Fatalf("leader: res=%v err=%v", leaderRes, leaderErr)
+	close(release)
+	<-served
+	if rec.Code != http.StatusOK {
+		t.Fatalf("leader's flight ended with status=%d body=%s, want the replica's 200", rec.Code, rec.Body)
 	}
 }
 

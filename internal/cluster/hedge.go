@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -80,9 +81,24 @@ func (g *Gateway) pickHedge(ctx context.Context, elig []*backend, primary *backe
 // attemptResult is one attempt's outcome crossing back to the
 // coordinating goroutine. idx 0 is the primary, 1 the hedge.
 type attemptResult struct {
-	idx int
-	res *upstream
-	err error
+	idx      int
+	res      *upstream
+	err      error
+	panicked any
+}
+
+// sendAttempt runs one attempt on its own goroutine. A panic there would
+// bypass the edge's recovery and kill the process, so it is delivered as
+// the outcome (with err naming it) for hedgedAttempt to raise again.
+func (g *Gateway) sendAttempt(ctx context.Context, idx int, b *backend, path string, body []byte, reqID string, sp *obs.Span, results chan<- attemptResult) {
+	r := attemptResult{idx: idx}
+	defer func() {
+		if r.panicked = recover(); r.panicked != nil {
+			r.err = fmt.Errorf("panic: %v", r.panicked)
+		}
+		results <- r
+	}()
+	r.res, r.err = g.send(ctx, b, http.MethodPost, path, body, reqID, sp)
 }
 
 // usable reports whether an attempt produced an answer worth relaying.
@@ -101,6 +117,9 @@ func (r *attemptResult) usable() bool {
 // receive the span purely for traceparent injection (immutable id reads)
 // plus send's deadline_ms counter, and every such write is sequenced
 // before this goroutine's End by the result-channel receive.
+//
+// A sender's panic is raised again here once every attempt is drained, so
+// the edge answers 500 internal and counts it once, as when unhedged.
 func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path string, body []byte, reqID string, root *obs.Span) (*upstream, error) {
 	primary := elig[0]
 	pname := attemptSpanName(primary, 0)
@@ -108,26 +127,38 @@ func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path strin
 		return nil, errProbeLost
 	}
 	results := make(chan attemptResult, 2) // buffered: a loser's late send never blocks
+	// Every received result passes through seen; a panic among them
+	// overrides whatever is returned.
+	var panicked any
+	seen := func(r attemptResult) attemptResult {
+		if panicked == nil {
+			panicked = r.panicked
+		}
+		return r
+	}
+	defer func() {
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	psp := root.StartChild(pname)
 	psp.SetAttr("backend", primary.name)
 	psp.Set("attempt", 0)
-	go func() {
-		res, err := g.send(pctx, primary, http.MethodPost, path, body, reqID, psp)
-		results <- attemptResult{idx: 0, res: res, err: err}
-	}()
+	go g.sendAttempt(pctx, 0, primary, path, body, reqID, psp, results)
 
 	// Phase 1: give the primary its hedge window.
 	timer := time.NewTimer(g.hedgeDelay(primary))
 	defer timer.Stop()
 	select {
 	case r := <-results:
+		seen(r)
 		finishAttemptSpan(psp, r.res, r.err)
 		return g.finishUnhedged(ctx, primary, r)
 	case <-ctx.Done():
 		pcancel()
-		r := <-results
+		r := seen(<-results)
 		finishAttemptSpan(psp, r.res, r.err)
 		return nil, ctx.Err()
 	case <-timer.C:
@@ -137,7 +168,7 @@ func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path strin
 	// the budget allow.
 	hedge := g.pickHedge(ctx, elig, primary)
 	if hedge == nil {
-		r := <-results
+		r := seen(<-results)
 		finishAttemptSpan(psp, r.res, r.err)
 		return g.finishUnhedged(ctx, primary, r)
 	}
@@ -147,24 +178,21 @@ func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path strin
 	hsp := root.StartChild("hedge")
 	hsp.SetAttr("backend", hedge.name)
 	hsp.Set("attempt", 0)
-	go func() {
-		res, err := g.send(hctx, hedge, http.MethodPost, path, body, reqID, hsp)
-		results <- attemptResult{idx: 1, res: res, err: err}
-	}()
+	go g.sendAttempt(hctx, 1, hedge, path, body, reqID, hsp, results)
 
 	spans := [2]*obs.Span{psp, hsp}
 	cancels := [2]context.CancelFunc{pcancel, hcancel}
-	first := <-results
-	if first.usable() {
+	first := seen(<-results)
+	if first.usable() || first.panicked != nil {
 		// Cancel and drain the loser before touching either span: the
 		// drain sequences the loser goroutine's last span write before the
 		// Ends below.
 		cancels[1-first.idx]()
-		loser := <-results
+		loser := seen(<-results)
 		finishAttemptSpan(spans[first.idx], first.res, first.err)
 		finishAttemptSpan(spans[loser.idx], loser.res, loser.err)
 		spans[loser.idx].SetAttr("hedge_outcome", "cancelled")
-		if first.idx == 1 {
+		if first.idx == 1 && panicked == nil {
 			g.metrics.HedgeWins.Add(1)
 		}
 		return first.res, nil
@@ -172,7 +200,7 @@ func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path strin
 	// The first answer was a shed/timeout/transport failure: the other
 	// attempt is still live and may yet produce a real answer — wait for
 	// it rather than burning a retry.
-	second := <-results
+	second := seen(<-results)
 	finishAttemptSpan(spans[first.idx], first.res, first.err)
 	finishAttemptSpan(spans[second.idx], second.res, second.err)
 	if second.usable() {

@@ -12,7 +12,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -103,9 +102,10 @@ var errNoBackend = errors.New("no healthy backend available")
 // slot on every path: any HTTP response (whatever the status) proves the
 // replica reachable (Success); a transport error counts toward opening
 // the circuit (Fail); a send abandoned by the caller's own context is
-// released without judgment (Release). The fault point
-// "gateway.forward" fires before the network touch, so chaos tests can
-// slow or sever the proxy path without real packet loss.
+// released without judgment (Release), and so is one that panics, before
+// the panic goes on. The fault point "gateway.forward" fires before the
+// network touch, so chaos tests can slow or sever the proxy path without
+// real packet loss.
 //
 // sp names the span covering this call: when the request is traced, the
 // W3C traceparent header carries (trace id, sp's span id) upstream, so
@@ -116,6 +116,14 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	bm := g.metrics.backend(b.name)
 	bm.Requests.Add(1)
 	start := time.Now()
+	defer func() {
+		// A panic proves nothing about the backend either, but a half-open
+		// probe slot it kept would refuse every later send for good.
+		if rec := recover(); rec != nil {
+			b.breaker.Release()
+			panic(rec)
+		}
+	}()
 	if err := fault.Inject("gateway.forward"); err != nil {
 		bm.Failures.Add(1)
 		b.breaker.Fail()
@@ -362,86 +370,6 @@ func (g *Gateway) forward(ctx context.Context, d memo.Digest, path string, body 
 	return nil, errNoBackend
 }
 
-// flight is one in-progress upstream analyze call; followers block on
-// done and share the result.
-type flight struct {
-	done chan struct{}
-	res  *upstream
-	err  error
-}
-
-// flightGroup deduplicates identical in-flight analyze requests, keyed by
-// the SHA-256 of the raw request body (source, options, trace flag — an
-// exact match, so no response is ever shared across differing requests).
-type flightGroup struct {
-	mu    sync.Mutex
-	m     map[[sha256.Size]byte]*flight
-	bound time.Duration // bound on a leader whose request has no deadline
-}
-
-func newFlightGroup(bound time.Duration) *flightGroup {
-	return &flightGroup{m: make(map[[sha256.Size]byte]*flight), bound: bound}
-}
-
-// begin claims single-flight leadership for key. The returned bool is
-// true for the leader, which must resolve the flight with finish on
-// every subsequent path: followers block on the flight until then, so an
-// abandoned leadership is an infinite wait for everyone behind it (the
-// PR-5 cancellation-sharing bug was exactly this shape — siwad-lint's
-// pairup analyzer now tracks the begin/finish pair). Followers get the
-// existing flight and false.
-func (fg *flightGroup) begin(key [sha256.Size]byte) (*flight, bool) {
-	fg.mu.Lock()
-	defer fg.mu.Unlock()
-	if f, ok := fg.m[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	fg.m[key] = f
-	return f, true
-}
-
-// finish publishes the leader's outcome and wakes every follower parked
-// on the flight. Exactly one finish per successful begin.
-func (fg *flightGroup) finish(key [sha256.Size]byte, f *flight, res *upstream, err error) {
-	f.res, f.err = res, err
-	fg.mu.Lock()
-	delete(fg.m, key)
-	fg.mu.Unlock()
-	close(f.done)
-}
-
-// do runs fn once per key among concurrent callers: the leader executes,
-// followers wait and share the leader's result. The leader runs fn on a
-// context detached from its own request's cancellation but keeping its
-// deadline (or fg.bound when it has none): the result is shared with
-// followers whose requests are still live, so the leader's client
-// disconnecting mid-flight must not turn into a cancellation error for
-// everyone. A follower that cancels only abandons its own wait. shared
-// reports whether this caller was a follower.
-func (fg *flightGroup) do(ctx context.Context, key [sha256.Size]byte, fn func(context.Context) (*upstream, error)) (res *upstream, err error, shared bool) {
-	f, leader := fg.begin(key)
-	if !leader {
-		select {
-		case <-f.done:
-			return f.res, f.err, true
-		case <-ctx.Done():
-			return nil, ctx.Err(), true
-		}
-	}
-	// WithoutCancel drops the deadline along with the cancellation, so
-	// the request's own deadline is put back on the detached context.
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Now().Add(fg.bound)
-	}
-	ectx, cancel := context.WithDeadline(context.WithoutCancel(ctx), deadline)
-	res, err = fn(ectx)
-	cancel()
-	fg.finish(key, f, res, err)
-	return res, err, false
-}
-
 // withDeadline puts the request's end-to-end deadline on ctx: the
 // client's timeoutMs (or the default), resolved as the replica resolves
 // it. Retries, backoff sleeps and upstream calls all draw on it. A
@@ -478,11 +406,17 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 // writeRouteError maps a forward() failure onto the taxonomy: everything
 // that kept the analysis from being attempted is "unavailable" (the
 // client should back off and retry — the ring will have healed), except a
-// client-side deadline, which stays "timeout".
+// client-side deadline, which stays "timeout", and the panic of the
+// single-flight leader a follower waited on, which is "internal" as it
+// was for the leader.
 func (g *Gateway) writeRouteError(w http.ResponseWriter, err error) service.Code {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		service.WriteError(w, service.CodeTimeout, "request aborted: %v", err)
 		return service.CodeTimeout
+	}
+	if errors.Is(err, memo.ErrLeaderPanicked) {
+		service.WriteError(w, service.CodeInternal, "%v", err)
+		return service.CodeInternal
 	}
 	g.metrics.Unavailable.Add(1)
 	w.Header().Set("Retry-After", "1")
@@ -525,7 +459,17 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	rctx, cancel := g.withDeadline(r.Context(), req.TimeoutMs)
 	defer cancel()
-	res, err, shared := g.flights.do(rctx, key, func(ctx context.Context) (*upstream, error) {
+	res, shared, err := g.flights.Do(rctx, key, func() (*upstream, error) {
+		// The leader's answer is shared with followers whose requests are
+		// still live, so its own client going away must not cancel it:
+		// the upstream call runs detached from rctx's cancellation but
+		// under its deadline (MaxTimeout when it has none).
+		deadline, ok := rctx.Deadline()
+		if !ok {
+			deadline = time.Now().Add(g.cfg.MaxTimeout)
+		}
+		ctx, cancel := context.WithDeadline(context.WithoutCancel(rctx), deadline)
+		defer cancel()
 		res, err := g.forward(ctx, memo.SourceDigest(req.Source), "/v1/analyze", body, service.RequestID(r.Context()))
 		if err == nil {
 			g.storeReport(key, res)

@@ -9,11 +9,10 @@ import (
 // PairupAnalyzer is the paper's resource-leak anomaly: an acquire whose
 // release some path never reaches. The configured pairs are this repo's
 // real bug history — the circuit breaker's half-open probe slot
-// (Acquire/Release|Success|Fail, the PR-5 leak), single-flight leadership
-// (begin/finish — an abandoned leader leaves followers waiting forever,
-// the PR-5 cancellation-sharing shape), pooled buffers (Get/Put), span
-// lifecycles (Start|StartChild/End), and batch admission tickets
-// (acquire/release).
+// (Acquire/Release|Success|Fail, a leak that shipped once), pooled
+// buffers (Get/Put), and span lifecycles (Start|StartChild/End).
+// Single-flight leadership needs no pair: memo.Flight ends every flight
+// in a defer, by construction.
 //
 // The pass is flow-sensitive and intraprocedural: it walks each function
 // body tracking live resources through branches, reports any return (or
@@ -22,11 +21,11 @@ import (
 // function, where ownership transfers (that is also why the real
 // attemptOne/send split stays quiet: the backend is handed to send, which
 // resolves the slot on every path). Releases inside deferred or spawned
-// closures count: `defer sp.End()` and ticket-returning goroutines are
-// the idiomatic shapes here.
+// closures count: `defer sp.End()` and span-ending goroutines are the
+// idiomatic shapes here.
 var PairupAnalyzer = &Analyzer{
 	Name: "pairup",
-	Doc:  "acquire/release pairing for breaker slots, pools, spans, and tickets (resource-leak anomaly)",
+	Doc:  "acquire/release pairing for breaker slots, pools, and spans (resource-leak anomaly)",
 	Run:  runPairup,
 }
 
@@ -97,20 +96,6 @@ var pairSpecs = []*pairSpec{
 		shape:    shapeHandle,
 		what:     "span",
 		hint:     "End the span on every path (defer span.End() right after StartChild)",
-	},
-	{
-		typeName: "tickets", acquire: "acquire",
-		releases: []string{"release"},
-		shape:    shapeReceiver,
-		what:     "admission ticket",
-		hint:     "release the ticket on every path (defer tickets.release())",
-	},
-	{
-		typeName: "flightGroup", acquire: "begin",
-		releases: []string{"finish"},
-		shape:    shapeHandleArg,
-		what:     "single-flight leadership",
-		hint:     "finish the flight on every path — followers wait on it forever otherwise",
 	},
 }
 
@@ -218,8 +203,8 @@ func (w *pairupWalker) stmts(list []ast.Stmt, st pairState) pairState {
 	for i := 0; i < len(list); i++ {
 		s := list[i]
 		// Peephole for the two-statement conditional acquire:
-		//   f, leader := fg.begin(key)   (or ok := b.Acquire())
-		//   if !leader { follower path } // or: if leader { owner path }
+		//   ok := b.Acquire()            (or buf, ok := pool.Get().(*T))
+		//   if !ok { failure path }      // or: if ok { owner path }
 		// The resource is only owed a release on the side where the bool
 		// came back true.
 		if as, isAssign := s.(*ast.AssignStmt); isAssign && i+1 < len(list) {
@@ -240,7 +225,7 @@ func (w *pairupWalker) stmts(list []ast.Stmt, st pairState) pairState {
 }
 
 // acquireWithOK matches an acquire assignment that also binds a success
-// bool: the last LHS for multi-value handle acquires (f, leader := ...),
+// bool: the last LHS for multi-value handle acquires (buf, ok := ...),
 // the single LHS for receiver-shape acquires (ok := b.Acquire()).
 func (w *pairupWalker) acquireWithOK(as *ast.AssignStmt) (*resource, string) {
 	r := w.acquireFromAssign(as)
@@ -524,10 +509,10 @@ func (w *pairupWalker) positiveAcquire(cond ast.Expr) (*pairSpec, ast.Expr) {
 }
 
 // acquireFromAssign matches handle-producing acquires:
-// `sp := root.StartChild(..)`, `buf := pool.Get().(*T)`,
-// `f, leader := fg.begin(..)`, and receiver-shape acquires whose bool is
-// stored (`ok := b.Acquire()` — tracked unconditionally, the common
-// conditional forms go through ifStmt instead).
+// `sp := root.StartChild(..)`, `buf := pool.Get().(*T)`, and
+// receiver-shape acquires whose bool is stored (`ok := b.Acquire()` —
+// tracked unconditionally, the common conditional forms go through
+// ifStmt instead).
 func (w *pairupWalker) acquireFromAssign(as *ast.AssignStmt) *resource {
 	if len(as.Rhs) != 1 {
 		return nil
@@ -661,11 +646,11 @@ func isRelease(spec *pairSpec, method string) bool {
 
 // escapeIfUsed marks any live resource whose identity appears in e as
 // escaped. Identity depends on the shape: handle-based resources (spans,
-// pooled buffers, flights) are owned through the handle variable — the
-// acquiring receiver is just the registry, and reading `fg.timeout` must
-// not end tracking of `f`. Receiver-shape resources (breaker slots,
-// tickets) are owned through the receiver expression or its base
-// identifier (passing `b` forwards `b.breaker` to a resolver).
+// pooled buffers) are owned through the handle variable — the acquiring
+// receiver is just the registry, and reading `p.limit` must not end
+// tracking of `buf`. Receiver-shape resources (breaker slots) are owned
+// through the receiver expression or its base identifier (passing `b`
+// forwards `b.breaker` to a resolver).
 func (w *pairupWalker) escapeIfUsed(e ast.Expr, st pairState) {
 	if e == nil {
 		return

@@ -1,9 +1,8 @@
 // Package fixtures reproduces this repository's real resource-leak bug
 // history for the pairup analyzer. The types are local stand-ins — pairup
 // matches pairs by type and method name, never by package path — so the
-// two PR-5 gateway bugs stay pinned here in their pre-fix shapes: the
-// circuit breaker probe-slot leak and the abandoned single-flight
-// leadership.
+// gateway's breaker probe-slot leak stays pinned here in its pre-fix
+// shape.
 package fixtures
 
 import "errors"
@@ -60,82 +59,6 @@ func probeSlotHandedOff(b *backend) error {
 
 func resolve(b *backend) error {
 	b.breaker.Success()
-	return nil
-}
-
-type flight struct {
-	done chan struct{}
-	err  error
-}
-
-type flightGroup struct {
-	m     map[string]*flight
-	limit int
-}
-
-func (fg *flightGroup) begin(key string) (*flight, bool) {
-	if f, ok := fg.m[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	fg.m[key] = f
-	return f, true
-}
-
-func (fg *flightGroup) finish(key string, f *flight) {
-	delete(fg.m, key)
-	close(f.done)
-}
-
-// leaderAbandoned is the PR-5 cancellation-sharing shape: the leader
-// bails out on its own cancellation without finishing the flight, and
-// every follower parked on f.done waits forever.
-func leaderAbandoned(fg *flightGroup, key string, cancelled bool) error {
-	f, leader := fg.begin(key)
-	if !leader {
-		<-f.done
-		return f.err
-	}
-	if cancelled {
-		return errors.New("client cancelled") // want `single-flight leadership acquired at line \d+ is not released on this path`
-	}
-	fg.finish(key, f)
-	return nil
-}
-
-// leaderAbandonedAfterReceiverRead pins the escape rule's shape
-// awareness: the flight group is the registry, not the owner — reading a
-// field off it must not end tracking of the flight handle. (An earlier
-// rule treated any receiver use as a handoff and went silent on exactly
-// the real gateway shape, where the leader reads fg.timeout before
-// running the upstream call.)
-func leaderAbandonedAfterReceiverRead(fg *flightGroup, key string, n int) error {
-	f, leader := fg.begin(key)
-	if !leader {
-		<-f.done
-		return f.err
-	}
-	limit := fg.limit
-	if n > limit {
-		return errors.New("over limit") // want `single-flight leadership acquired at line \d+ is not released on this path`
-	}
-	fg.finish(key, f)
-	return nil
-}
-
-// leaderFinishes is the post-fix shape: the leader finishes on every
-// path, even when its own caller has gone away.
-func leaderFinishes(fg *flightGroup, key string, cancelled bool) error {
-	f, leader := fg.begin(key)
-	if !leader {
-		<-f.done
-		return f.err
-	}
-	if cancelled {
-		fg.finish(key, f)
-		return errors.New("client cancelled")
-	}
-	fg.finish(key, f)
 	return nil
 }
 
@@ -203,27 +126,21 @@ func spanReturnedToCaller(t *Tracer, bail bool) *Span {
 	return sp
 }
 
-type tickets struct{ ch chan struct{} }
-
-func (t tickets) acquire() { t.ch <- struct{}{} }
-func (t tickets) release() { <-t.ch }
-
-// ticketLeak loses one admission ticket per spawned item: the batch
-// starves itself once the channel fills.
-func ticketLeak(t tickets, items []int) {
-	for range items {
-		t.acquire()
-		go func() {
-			// forgot t.release()
-		}()
+// pooledLeakAfterReceiverRead pins the escape rule's shape awareness: the
+// pool is the registry, not the owner — reading a field off it must not
+// end tracking of the pooled handle.
+func pooledLeakAfterReceiverRead(p *Pool, n int) {
+	buf := p.Get()
+	if n > len(p.free) {
+		return // want `pooled object acquired at line \d+ is not released on this path`
 	}
-} // want `admission ticket acquired at line \d+ is not released on this path`
+	p.Put(buf)
+}
 
-func ticketPaired(t tickets, items []int) {
-	for range items {
-		t.acquire()
-		go func() {
-			defer t.release()
-		}()
-	}
+// spanEndedBySpawnedGoroutine: a release inside a spawned closure counts.
+func spanEndedBySpawnedGoroutine(root *Span) {
+	sp := root.StartChild("send")
+	go func() {
+		defer sp.End()
+	}()
 }

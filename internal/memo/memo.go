@@ -5,6 +5,11 @@
 // cluster gateway keeps its report cache for exact request repeats in
 // the same type.
 //
+// That single-flight, Flight, is the repository's only one (the gateway
+// collapses identical analyze bodies with it too): its leader ends the
+// flight on every path, a panic included, and a follower stops waiting
+// when its own context ends.
+//
 // The paper's pipeline is strictly staged — parse → Lemma-1 unroll →
 // sync graph → CLG + ordering tables → detector sweep — and everything
 // up to the detector sweep depends only on the program source, not on
@@ -23,7 +28,9 @@ package memo
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -75,21 +82,15 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 
-	// flights dedups concurrent builds per key. A flight is removed when
-	// its build completes (success or failure), so a failed build is
+	// flights dedups concurrent builds per key. A flight ends when its
+	// build does (success, failure or panic), so a failed build is
 	// retried by the next caller instead of being cached.
-	flights map[string]*flight
+	flights *Flight[string, Entry]
 
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	builds    uint64
-}
-
-type flight struct {
-	done chan struct{}
-	val  Entry
-	err  error
 }
 
 type entryNode struct {
@@ -108,7 +109,7 @@ func New(maxBytes int64) *Cache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
+		flights:  NewFlight[string, Entry](),
 	}
 }
 
@@ -131,65 +132,39 @@ func (c *Cache) Get(key string) (Entry, bool) {
 
 // Do returns the entry for key, building it at most once across
 // concurrent callers: the first caller on a cold key runs build while
-// followers block on the same flight and share the result (or error).
-// Successful builds are admitted into the LRU; failures are not cached,
-// so the next request retries. built reports whether this call ran the
-// build function itself — the leader's stages execute for real (and
-// trace for real), followers and warm hits reuse.
-func (c *Cache) Do(key string, build func() (Entry, error)) (val Entry, built bool, err error) {
+// followers share the result (or error), each until its own ctx ends.
+// Successful builds are admitted into the LRU before the flight ends;
+// failures are not cached, so the next request retries. built reports
+// whether this call ran the build function itself — the leader's stages
+// execute for real (and trace for real), followers and warm hits reuse.
+func (c *Cache) Do(ctx context.Context, key string, build func() (Entry, error)) (val Entry, built bool, err error) {
 	if c == nil {
-		e, err := build()
-		return e, true, err
+		val, err = build()
+		return val, true, err
 	}
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		v := el.Value.(*entryNode).val
-		c.mu.Unlock()
+	if v, ok := c.Get(key); ok {
 		return v, false, nil
 	}
-	c.misses++
-	if f, ok := c.flights[key]; ok {
-		// A build for this key is in flight: wait for it instead of
-		// duplicating the work.
-		c.mu.Unlock()
-		<-f.done
-		return f.val, false, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.builds++
-	c.mu.Unlock()
-
-	defer func() {
-		// A panicking build must not strand followers on the flight
-		// forever: publish a nil result and re-panic.
-		if r := recover(); r != nil {
-			f.err = fmt.Errorf("memo: build for %q panicked", key)
-			c.finish(key, f, nil)
-			panic(r)
+	val, _, err = c.flights.Do(ctx, key, func() (Entry, error) {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			// The flight we missed ended between our lookup and this
+			// leadership, admitting its entry first: share it.
+			c.ll.MoveToFront(el)
+			v := el.Value.(*entryNode).val
+			c.mu.Unlock()
+			return v, nil
 		}
-	}()
-	f.val, f.err = build()
-	var admit Entry
-	if f.err == nil {
-		admit = f.val
-	}
-	c.finish(key, f, admit)
-	return f.val, true, f.err
-}
-
-// finish closes out a flight: admits the built entry (when non-nil),
-// removes the flight so later misses start fresh, and wakes followers.
-func (c *Cache) finish(key string, f *flight, admit Entry) {
-	c.mu.Lock()
-	delete(c.flights, key)
-	if admit != nil {
-		c.put(key, admit)
-	}
-	c.mu.Unlock()
-	close(f.done)
+		c.builds++
+		c.mu.Unlock()
+		built = true
+		v, err := build()
+		if err == nil {
+			c.Put(key, v)
+		}
+		return v, err
+	})
+	return val, built, err
 }
 
 // Put stores an entry under key (admission only; misuse-tolerant).
@@ -265,4 +240,56 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// ErrLeaderPanicked is what followers get when their leader panicked.
+var ErrLeaderPanicked = errors.New("memo: single-flight leader panicked")
+
+// Flight collapses concurrent calls that share a key: the first caller
+// (the leader) runs the call, and callers arriving while it runs
+// (followers) share its result. Make one with NewFlight.
+type Flight[K comparable, V any] struct {
+	mu    sync.Mutex
+	calls map[K]*call[V]
+}
+
+// call is one key's flight: done closes once val and err are final.
+type call[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// NewFlight returns an empty Flight.
+func NewFlight[K comparable, V any]() *Flight[K, V] {
+	return &Flight[K, V]{calls: make(map[K]*call[V])}
+}
+
+// Do runs fn for key, or, when a call for key is in flight, waits for it
+// and returns its result (shared). A follower whose ctx ends first
+// returns ctx.Err(), and the leader runs on. The leader ends the flight
+// in a defer, so when fn panics its followers get ErrLeaderPanicked and
+// the panic goes on up the leader's own stack.
+func (f *Flight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
+	f.mu.Lock()
+	if c, ok := f.calls[key]; ok {
+		f.mu.Unlock()
+		select {
+		case <-c.done:
+			return c.val, true, c.err
+		case <-ctx.Done():
+			return v, true, ctx.Err()
+		}
+	}
+	c := &call[V]{done: make(chan struct{}), err: ErrLeaderPanicked}
+	f.calls[key] = c
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		delete(f.calls, key)
+		f.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = fn()
+	return c.val, false, c.err
 }

@@ -1,12 +1,15 @@
 package memo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+var ctx = context.Background()
 
 // fakeEntry is a test artifact with a declared footprint.
 type fakeEntry struct {
@@ -35,7 +38,7 @@ func TestNilCacheNeverHits(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	built := 0
-	v, wasBuilt, err := c.Do("k", func() (Entry, error) {
+	v, wasBuilt, err := c.Do(ctx, "k", func() (Entry, error) {
 		built++
 		return &fakeEntry{1, 8}, nil
 	})
@@ -83,7 +86,7 @@ func TestByteBudgetEviction(t *testing.T) {
 func TestOversizedEntryNotAdmitted(t *testing.T) {
 	c := New(64)
 	c.Put("small", &fakeEntry{0, 10})
-	v, built, err := c.Do("huge", func() (Entry, error) { return &fakeEntry{1, 1000}, nil })
+	v, built, err := c.Do(ctx, "huge", func() (Entry, error) { return &fakeEntry{1, 1000}, nil })
 	if err != nil || !built || v.(*fakeEntry).id != 1 {
 		t.Fatalf("oversized build not returned: %v %v %v", v, built, err)
 	}
@@ -119,7 +122,7 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("shared", func() (Entry, error) {
+			v, _, err := c.Do(ctx, "shared", func() (Entry, error) {
 				builds.Add(1)
 				<-gate // hold every concurrent caller in the miss window
 				return &fakeEntry{42, 64}, nil
@@ -149,11 +152,11 @@ func TestDoErrorNotCachedAndRetried(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.Do("k", func() (Entry, error) { calls++; return nil, boom })
+	_, _, err := c.Do(ctx, "k", func() (Entry, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v", err)
 	}
-	v, built, err := c.Do("k", func() (Entry, error) { calls++; return &fakeEntry{1, 8}, nil })
+	v, built, err := c.Do(ctx, "k", func() (Entry, error) { calls++; return &fakeEntry{1, 8}, nil })
 	if err != nil || !built || calls != 2 {
 		t.Fatalf("retry: v=%v built=%v err=%v calls=%d", v, built, err, calls)
 	}
@@ -172,7 +175,7 @@ func TestDoPanicReleasesFollowers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer func() { recover() }()
-		c.Do("k", func() (Entry, error) {
+		c.Do(ctx, "k", func() (Entry, error) {
 			close(started)
 			<-release
 			panic("build bug")
@@ -182,16 +185,16 @@ func TestDoPanicReleasesFollowers(t *testing.T) {
 		defer wg.Done()
 		<-started
 		close(release)
-		_, _, followerErr = c.Do("k", func() (Entry, error) { return &fakeEntry{9, 8}, nil })
+		_, _, followerErr = c.Do(ctx, "k", func() (Entry, error) { return &fakeEntry{9, 8}, nil })
 	}()
 	wg.Wait()
 	// The follower either joined the doomed flight (gets the panic error)
 	// or arrived after it was torn down (builds fresh, no error) — it must
 	// never hang, and a later call must be able to build.
-	if followerErr != nil && followerErr.Error() != `memo: build for "k" panicked` {
+	if followerErr != nil && !errors.Is(followerErr, ErrLeaderPanicked) {
 		t.Fatalf("follower err=%v", followerErr)
 	}
-	v, _, err := c.Do("k", func() (Entry, error) { return &fakeEntry{7, 8}, nil })
+	v, _, err := c.Do(ctx, "k", func() (Entry, error) { return &fakeEntry{7, 8}, nil })
 	if err != nil || v == nil {
 		t.Fatalf("cache unusable after build panic: %v %v", v, err)
 	}
@@ -208,7 +211,7 @@ func TestConcurrentChurnUnderTinyBudget(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%16)
-				v, _, err := c.Do(key, func() (Entry, error) {
+				v, _, err := c.Do(ctx, key, func() (Entry, error) {
 					return &fakeEntry{i, 48}, nil
 				})
 				if err != nil || v == nil {
@@ -222,5 +225,81 @@ func TestConcurrentChurnUnderTinyBudget(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Bytes > 256 {
 		t.Fatalf("budget violated: %+v", st)
+	}
+}
+
+// TestDoFollowerStopsAtItsOwnContext: a follower whose context ends while
+// the leader is still building returns its own ctx.Err() at once, and the
+// leader's build is admitted when it completes.
+func TestDoFollowerStopsAtItsOwnContext(t *testing.T) {
+	c := New(1 << 20)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() (Entry, error) {
+			close(started)
+			<-release
+			return &fakeEntry{1, 8}, nil
+		})
+		leader <- err
+	}()
+	<-started
+	fctx, cancel := context.WithCancel(ctx)
+	cancel()
+	v, built, err := c.Do(fctx, "k", func() (Entry, error) {
+		t.Error("follower ran the build")
+		return nil, nil
+	})
+	if !errors.Is(err, context.Canceled) || built || v != nil {
+		t.Fatalf("follower: v=%v built=%v err=%v, want its own context.Canceled", v, built, err)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if v, ok := c.Get("k"); !ok || v.(*fakeEntry).id != 1 {
+		t.Fatalf("leader's entry not admitted: %v %v", v, ok)
+	}
+	if st := c.Stats(); st.Builds != 1 {
+		t.Fatalf("stats %+v, want one build", st)
+	}
+}
+
+// TestFlightLeaderPanicFreesKey: a panicking leader releases the followers
+// already waiting (with ErrLeaderPanicked), its panic reaches its own
+// caller, and the next call on the key leads a fresh flight.
+func TestFlightLeaderPanicFreesKey(t *testing.T) {
+	f := NewFlight[[4]byte, int]()
+	key := [4]byte{1, 2, 3, 4}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		f.Do(ctx, key, func() (int, error) {
+			close(started)
+			<-release
+			panic("leader bug")
+		})
+	}()
+	<-started
+	follower := make(chan error, 1)
+	go func() {
+		_, _, err := f.Do(ctx, key, func() (int, error) { return 2, nil })
+		follower <- err
+	}()
+	close(release)
+	if p := <-leaderPanic; p != "leader bug" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	// The follower joined the doomed flight or came after it ended; either
+	// way it returns.
+	if err := <-follower; err != nil && !errors.Is(err, ErrLeaderPanicked) {
+		t.Fatalf("follower err=%v", err)
+	}
+	v, shared, err := f.Do(ctx, key, func() (int, error) { return 3, nil })
+	if v != 3 || shared || err != nil {
+		t.Fatalf("after the panic: v=%d shared=%v err=%v, want a fresh flight", v, shared, err)
 	}
 }

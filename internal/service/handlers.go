@@ -413,77 +413,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results := make([]BatchResult, len(req.Programs))
-	var wg sync.WaitGroup
 	var degradedItems atomic.Int64
-	// Trickle items into the pool instead of flooding it: at most
-	// pool-size items from this batch are in admission at once, so a lone
-	// large batch never exhausts the queue and sheds itself; only genuine
+	// Trickle items into the pool instead of flooding it: pool-size
+	// workers each claim the next unclaimed item, so at most pool-size
+	// items from this batch are in admission at once. A lone large batch
+	// never exhausts the queue and sheds itself; only genuine
 	// cross-request overload does.
-	admission := newTickets(s.pool.Size())
-	for i, p := range req.Programs {
-		res := &results[i]
-		res.ID = p.ID
-		if p.Source == "" {
-			res.Error = "missing source"
-			res.ErrorCode = CodeInvalidRequest
-			s.metrics.BatchItems[BatchError].Add(1)
-			continue
-		}
-		wo := p.Options
-		if wo == nil {
-			wo = req.Options
-		}
-		opt, err := wo.resolve()
-		if err != nil {
-			res.Error = err.Error()
-			res.ErrorCode = CodeInvalidRequest
-			s.metrics.BatchItems[BatchError].Add(1)
-			continue
-		}
-		admission.acquire()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(s.pool.Size(), len(req.Programs)) {
 		wg.Add(1)
-		go func(source string, opt siwa.Options, res *BatchResult) {
+		go func() {
 			defer wg.Done()
-			defer admission.release()
-			// Panics in a batch goroutine bypass the HTTP recovery
-			// middleware (that runs on the request goroutine) and would
-			// kill the process: contain them per item.
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.metrics.Panics.Add(1)
-					s.metrics.BatchItems[BatchError].Add(1)
-					res.Error = fmt.Sprintf("internal error: %v", rec)
-					res.ErrorCode = CodeInternal
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(req.Programs) {
+					return
 				}
-			}()
-			out, err := s.analyzeOne(ctx, source, opt, false)
-			if err != nil {
-				code := classify(err)
-				switch code {
-				case CodeTimeout:
-					s.metrics.Timeouts.Add(1)
-					s.metrics.BatchItems[BatchTimeout].Add(1)
-				case CodeShed:
-					s.metrics.Shed.Add(1)
-					s.metrics.BatchItems[BatchShed].Add(1)
-				default:
-					s.metrics.BatchItems[BatchError].Add(1)
+				if s.batchItem(ctx, req.Programs[i], req.Options, &results[i]) {
+					degradedItems.Add(1)
 				}
-				res.Error = err.Error()
-				res.ErrorCode = code
-				return
 			}
-			if out.cached {
-				s.metrics.BatchItems[BatchCached].Add(1)
-			} else {
-				s.metrics.BatchItems[BatchOK].Add(1)
-			}
-			if out.degraded {
-				degradedItems.Add(1)
-			}
-			res.Report = out.report
-			res.Cached = out.cached
-		}(p.Source, opt, res)
+		}()
 	}
 	wg.Wait()
 	if degradedItems.Load() > 0 {
@@ -508,6 +459,66 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		slog.Int("programs", len(results)),
 		slog.Int("cached", cached),
 		slog.Int("failed", failed))
+}
+
+// batchItem analyzes one batch program into res, under the batch's
+// options unless the program has its own, and reports whether the report
+// is degraded.
+func (s *Server) batchItem(ctx context.Context, p BatchProgram, batchOpts *WireOptions, res *BatchResult) (degraded bool) {
+	res.ID = p.ID
+	// Panics in a batch worker bypass the HTTP recovery middleware (that
+	// runs on the request goroutine) and would kill the process: contain
+	// them per item.
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.metrics.Panics.Add(1)
+			s.metrics.BatchItems[BatchError].Add(1)
+			res.Error = fmt.Sprintf("internal error: %v", rec)
+			res.ErrorCode = CodeInternal
+		}
+	}()
+	if p.Source == "" {
+		res.Error = "missing source"
+		res.ErrorCode = CodeInvalidRequest
+		s.metrics.BatchItems[BatchError].Add(1)
+		return false
+	}
+	wo := p.Options
+	if wo == nil {
+		wo = batchOpts
+	}
+	opt, err := wo.resolve()
+	if err != nil {
+		res.Error = err.Error()
+		res.ErrorCode = CodeInvalidRequest
+		s.metrics.BatchItems[BatchError].Add(1)
+		return false
+	}
+	out, err := s.analyzeOne(ctx, p.Source, opt, false)
+	if err != nil {
+		code := classify(err)
+		switch code {
+		case CodeTimeout:
+			s.metrics.Timeouts.Add(1)
+			s.metrics.BatchItems[BatchTimeout].Add(1)
+		case CodeShed:
+			s.metrics.Shed.Add(1)
+			s.metrics.BatchItems[BatchShed].Add(1)
+		default:
+			s.metrics.BatchItems[BatchError].Add(1)
+		}
+		res.Error = err.Error()
+		res.ErrorCode = code
+		return false
+	}
+	if out.cached {
+		s.metrics.BatchItems[BatchCached].Add(1)
+	} else {
+		s.metrics.BatchItems[BatchOK].Add(1)
+	}
+	res.Report = out.report
+	res.Cached = out.cached
+	return out.degraded
 }
 
 // AlgorithmEntry is one detector in the GET /v1/algorithms listing.

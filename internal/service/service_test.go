@@ -296,6 +296,37 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchNeverShedsItself: a lone batch larger than the worker pool, on
+// a replica with no admission queue, is worked through by pool-size
+// workers, so none of its items is shed by the batch's own other items.
+func TestBatchNeverShedsItself(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1})
+	progs := make([]BatchProgram, 8)
+	for i := range progs {
+		progs[i] = BatchProgram{ID: fmt.Sprint(i), Source: workload.Ring(i + 2).String()}
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/analyze/batch", BatchRequest{Programs: progs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status=%d body=%s", resp.StatusCode, data)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(data, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != len(progs) {
+		t.Fatalf("results=%d, want %d", len(br.Results), len(progs))
+	}
+	for i, r := range br.Results {
+		if r.ID != progs[i].ID || r.ErrorCode != 0 || r.Report == nil {
+			t.Fatalf("item %d: %+v", i, r)
+		}
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if got := metricValue(t, body, "siwa_shed_total"); got != 0 {
+		t.Fatalf("siwa_shed_total=%d, want 0", got)
+	}
+}
+
 func TestBatchSharesCacheWithAnalyze(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	src := workload.Pipeline(3, 2).String()

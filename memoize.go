@@ -170,10 +170,11 @@ func (e *c4Entry) SizeBytes() int64 { return 16 }
 // live, or its resource limits, which are not part of the key. Such a
 // shared failure is retried instead of propagated. The retry either finds
 // the entry now cached, joins a fresh flight, or becomes the new leader
-// and builds under its own context and limits.
+// and builds under its own context and limits. A follower whose own
+// context ends stops waiting and returns its own cancellation.
 func doEntry(ctx context.Context, mc *memo.Cache, key string, build func() (memo.Entry, error)) (memo.Entry, bool, error) {
 	for {
-		v, built, err := mc.Do(key, build)
+		v, built, err := mc.Do(ctx, key, build)
 		if err == nil || built || !leaderOnly(ctx, err) {
 			return v, built, err
 		}

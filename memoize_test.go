@@ -212,7 +212,7 @@ func TestStageCacheFollowerRetriesLeaderLimits(t *testing.T) {
 	release := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
-		_, _, err := mc.Do("src:"+memo.SourceDigest(src).Key(), func() (memo.Entry, error) {
+		_, _, err := mc.Do(context.Background(), "src:"+memo.SourceDigest(src).Key(), func() (memo.Entry, error) {
 			<-release
 			return nil, &ResourceError{Resource: "unrolled rendezvous nodes", Limit: 1, Actual: 99}
 		})
