@@ -15,8 +15,8 @@ import (
 // construction (core.NewAnalyzer: CLG, ordering facts and hypothesis
 // tables). Both carve their tables from counted slabs, so the counts grow
 // with the number of tasks, not with the number of nodes or edges.
-// Measured on these programs: FromProgram 21-23 plus 12 per task,
-// NewAnalyzer 29-33; the bounds add a small margin.
+// Measured on these programs: FromProgram 4-8 plus 12 per task,
+// NewAnalyzer 16-21; the bounds keep the earlier, wider margin.
 func TestColdPathAllocs(t *testing.T) {
 	const maxAnalyzerAllocs = 36
 	if raceEnabled {

@@ -24,7 +24,8 @@
 //	                  it requests are shed with 429 (0 = 4x workers,
 //	                  -1 = no waiting)
 //	-limits SPEC      per-analysis resource caps as tasks=N,nodes=N,
-//	                  unrolled=N (any subset), or "off" / "default"
+//	                  unrolled=N,syncedges=N (any subset), or "off" /
+//	                  "default"
 //	-stage-cache-mb N cache byte budget in MiB: rendered reports keyed on
 //	                  (source, options) and memoized pipeline artifacts
 //	                  (parse+unroll, CLG + ordering tables, per-algorithm
@@ -113,7 +114,7 @@ func config(args []string) (service.Config, bool) {
 	fs.StringVar(&c.Addr, "addr", "", "listen address (empty = :8080)")
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent analyses (0 = GOMAXPROCS)")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 0, "admission queue depth before shedding (0 = 4x workers, -1 = no waiting)")
-	limitsSpec := fs.String("limits", "", "per-analysis resource caps: tasks=N,nodes=N,unrolled=N, or off/default (empty = default)")
+	limitsSpec := fs.String("limits", "", "per-analysis resource caps: tasks=N,nodes=N,unrolled=N,syncedges=N, or off/default (empty = default)")
 	fs.IntVar(&c.StageCacheMB, "stage-cache-mb", 0, "cache byte budget in MiB for reports and pipeline artifacts (0 = 8, -1 = off)")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", 0, "request body limit in bytes (0 = 4 MiB)")
 	fs.IntVar(&c.MaxBatch, "max-batch", 0, "programs per batch request (0 = 256)")

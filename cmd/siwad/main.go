@@ -22,8 +22,9 @@
 //	-json           machine-readable output (includes the span tree under
 //	                "trace" when -trace is set)
 //	-max-states N   state cap for -exact and -dot waves (default 1<<20)
-//	-limits SPEC    per-analysis resource caps as tasks=N,nodes=N,unrolled=N
-//	                (any subset), or "default" for the server-side caps;
+//	-limits SPEC    per-analysis resource caps as tasks=N,nodes=N,unrolled=N,
+//	                syncedges=N (any subset), or "default" for the
+//	                server-side caps;
 //	                unbounded when omitted
 //	-degrade        when the exact explorer hits a deadline or state budget,
 //	                keep the (sound, conservative) polynomial verdicts and
@@ -67,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trace := fs.Bool("trace", false, "print the pipeline span tree (per-stage durations and work counters)")
 	anomalyTrace := fs.Bool("anomaly-trace", false, "with the exact explorer, print rendezvous traces to each anomaly (implies -exact)")
 	maxStates := fs.Int("max-states", waves.DefaultMaxStates, "state cap for -exact")
-	limitsSpec := fs.String("limits", "", "resource caps: tasks=N,nodes=N,unrolled=N, or default (unbounded when omitted)")
+	limitsSpec := fs.String("limits", "", "resource caps: tasks=N,nodes=N,unrolled=N,syncedges=N, or default (unbounded when omitted)")
 	parallelism := fs.Int("parallelism", 0, "worker count for detector hypothesis sweeps (0 = GOMAXPROCS, 1 = serial)")
 	degrade := fs.Bool("degrade", false, "degrade to the polynomial verdicts when the exact explorer is cut short")
 	dot := fs.String("dot", "", "emit a Graphviz graph (sync|clg|waves) instead of analyzing")

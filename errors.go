@@ -43,6 +43,10 @@ type Limits struct {
 	// MaxUnrolledNodes caps the rendezvous statements the twice-unroll
 	// transform may produce, enforced predictively by cfg.UnrollBounded.
 	MaxUnrolledNodes int
+	// MaxSyncEdges caps the sync edges of the (unrolled) program's sync
+	// graph — per signal type, sends times accepts — counted before the
+	// graph is built. The CLG and detector stages grow with them.
+	MaxSyncEdges int
 }
 
 // DefaultLimits returns the caps the analysis service applies by default:
@@ -52,12 +56,13 @@ func DefaultLimits() Limits {
 		MaxTasks:         512,
 		MaxNodes:         1 << 16,
 		MaxUnrolledNodes: 1 << 18,
+		MaxSyncEdges:     1 << 17,
 	}
 }
 
 // String renders the limits in ParseLimits format.
 func (l Limits) String() string {
-	return fmt.Sprintf("tasks=%d,nodes=%d,unrolled=%d", l.MaxTasks, l.MaxNodes, l.MaxUnrolledNodes)
+	return fmt.Sprintf("tasks=%d,nodes=%d,unrolled=%d,syncedges=%d", l.MaxTasks, l.MaxNodes, l.MaxUnrolledNodes, l.MaxSyncEdges)
 }
 
 // check returns a *ResourceError when actual exceeds an enabled cap.
@@ -69,8 +74,8 @@ func checkLimit(resource string, limit, actual int) error {
 }
 
 // ParseLimits parses the CLI/server spelling of Limits: a comma-separated
-// list of tasks=N, nodes=N, unrolled=N (any subset; omitted fields are
-// taken from base). The words "off" and "none" disable every cap;
+// list of tasks=N, nodes=N, unrolled=N, syncedges=N (any subset; omitted
+// fields are taken from base). The words "off" and "none" disable every cap;
 // "default" is DefaultLimits.
 func ParseLimits(spec string, base Limits) (Limits, error) {
 	switch strings.TrimSpace(spec) {
@@ -85,7 +90,7 @@ func ParseLimits(spec string, base Limits) (Limits, error) {
 	for _, part := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return Limits{}, fmt.Errorf("limits: %q is not key=value (tasks, nodes, unrolled)", part)
+			return Limits{}, fmt.Errorf("limits: %q is not key=value (tasks, nodes, unrolled, syncedges)", part)
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -98,8 +103,10 @@ func ParseLimits(spec string, base Limits) (Limits, error) {
 			out.MaxNodes = n
 		case "unrolled":
 			out.MaxUnrolledNodes = n
+		case "syncedges":
+			out.MaxSyncEdges = n
 		default:
-			return Limits{}, fmt.Errorf("limits: unknown key %q (tasks, nodes, unrolled)", k)
+			return Limits{}, fmt.Errorf("limits: unknown key %q (tasks, nodes, unrolled, syncedges)", k)
 		}
 	}
 	return out, nil

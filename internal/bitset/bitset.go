@@ -14,6 +14,9 @@ type Row []uint64
 // NewRow returns an empty row with capacity for n bits.
 func NewRow(n int) Row { return make(Row, words(n)) }
 
+// Words reports the uint64 words a row of n bits occupies.
+func Words(n int) int { return words(n) }
+
 func words(n int) int { return (n + 63) >> 6 }
 
 // Get reports whether bit i is set.
@@ -111,6 +114,18 @@ func NewMatrix(n int) Matrix {
 	return Matrix{n: n, wpr: w, words: make([]uint64, n*w)}
 }
 
+// MatrixWords reports the uint64 words an n x n matrix occupies.
+func MatrixWords(n int) int { return n * words(n) }
+
+// MatrixIn carves an all-false n x n matrix from the front of dst, which
+// must hold MatrixWords(n) words, and returns it with the rest of dst.
+func MatrixIn(dst []uint64, n int) (Matrix, []uint64) {
+	k := MatrixWords(n)
+	w := dst[:k:k]
+	clear(w)
+	return Matrix{n: n, wpr: words(n), words: w}, dst[k:]
+}
+
 // N returns the matrix dimension.
 func (m Matrix) N() int { return m.n }
 
@@ -126,10 +141,6 @@ func (m Matrix) Get(r, c int) bool {
 func (m Matrix) Set(r, c int) {
 	m.words[r*m.wpr+c>>6] |= 1 << uint(c&63)
 }
-
-// SizeBytes reports the matrix's backing-store footprint, for
-// byte-budgeted caches holding derived relations.
-func (m Matrix) SizeBytes() int64 { return int64(len(m.words)) * 8 }
 
 // Equal reports whether the two matrices have identical dimension and
 // contents.

@@ -315,15 +315,15 @@ func buildTask(t *lang.Task) (*TaskCFG, error) {
 // check exists because the paper's assumptions demand it be verifiable.
 func IsReducible(g *graph.Digraph, entry int) bool {
 	idom := g.Dominators(entry)
-	fwd := graph.New(g.N())
+	fwd := make([][2]int, 0, g.M())
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Succ(u) {
 			if graph.Dominates(idom, entry, v, u) {
 				continue // back edge
 			}
-			fwd.AddEdge(u, v)
+			fwd = append(fwd, [2]int{u, v})
 		}
 	}
-	cyc, _ := fwd.HasCycle()
+	cyc, _ := graph.FromEdges(g.N(), fwd).HasCycle()
 	return !cyc
 }

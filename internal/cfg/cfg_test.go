@@ -187,11 +187,7 @@ end;
 
 func TestIsReducibleRejectsIrreducible(t *testing.T) {
 	// Classic irreducible graph: entry -> a, entry -> b, a <-> b.
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
+	g := graph.FromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 1}})
 	if IsReducible(g, 0) {
 		t.Fatal("irreducible graph accepted")
 	}

@@ -14,8 +14,8 @@ package clg
 import (
 	"fmt"
 	"strings"
-	"unsafe"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sg"
@@ -24,7 +24,7 @@ import (
 // CLG is a cycle location graph derived from a sync graph.
 type CLG struct {
 	SG *sg.Graph
-	G  *graph.Digraph
+	G  graph.Digraph
 	B  int
 	E  int
 
@@ -35,31 +35,52 @@ type CLG struct {
 	// Orig maps CLG node ids back to sync-graph node ids.
 	Orig []int
 	// IsIn marks CLG nodes that are incoming halves.
-	IsIn []bool
+	IsIn bitset.Row
 }
 
-// Build constructs the CLG of a sync graph by the paper's six steps. The
-// node tables are sized from the sync graph's counts and the edges are
-// collected into one list for graph.FromEdges.
+// Len reports the ints and the uint64 words Into carves for the CLG of
+// s: the digraph, In, Out and Orig, and the IsIn row.
+func Len(s *sg.Graph) (ints, words int) {
+	n, m := size(s)
+	return graph.DigraphLen(n, m) + 2*s.N() + n, bitset.Words(n)
+}
+
+// size returns the CLG's node and edge counts: one node per half plus b
+// and e; one internal edge per rendezvous node, one edge per control
+// edge and two per sync edge. The edges are distinct by construction.
+func size(s *sg.Graph) (n, m int) {
+	nr := s.NumRendezvous()
+	return 2 + 2*nr, nr + s.NumControlEdges() + 2*s.NumSyncEdges()
+}
+
+// Build constructs the CLG of a sync graph by the paper's six steps, in
+// one int and one word slab sized by Len.
 func Build(s *sg.Graph) *CLG {
-	c, _ := build(s)
+	c := &CLG{}
+	ints, words := Len(s)
+	Into(c, s, make([]int, ints), make([]uint64, words), nil)
 	return c
 }
 
-// build is Build also returning the number of CLG edges derived from
-// sync edges.
-func build(s *sg.Graph) (*CLG, int) {
-	nr := s.NumRendezvous()
-	n := 2 + 2*nr
-	ints := make([]int, 2*s.N()+n)
-	c := &CLG{
+// Into builds the CLG of s into c, carving its tables from the fronts of
+// ints and words (sized by Len), and returns the rests. It records the
+// graph's size — CLG nodes, total edges and sync-derived edges — into
+// span (nil records nothing), so the CLG stage span carries the inputs
+// each masked SCC run operates on. The edges are collected into one
+// list for graph.FromEdgesIn.
+func Into(c *CLG, s *sg.Graph, ints []int, words []uint64, span *obs.Span) ([]int, []uint64) {
+	n, m := size(s)
+	sn := s.N()
+	*c = CLG{
 		SG:   s,
-		In:   ints[:s.N():s.N()],
-		Out:  ints[s.N() : 2*s.N() : 2*s.N()],
-		Orig: ints[2*s.N():],
-		IsIn: make([]bool, n),
+		In:   ints[:sn:sn],
+		Out:  ints[sn : 2*sn : 2*sn],
+		Orig: ints[2*sn : 2*sn+n : 2*sn+n],
+		IsIn: bitset.Row(words[:bitset.Words(n):bitset.Words(n)]),
 	}
-	edges := make([][2]int, 0, nr+s.NumControlEdges()+2*s.NumSyncEdges())
+	ints, words = ints[2*sn+n:], words[bitset.Words(n):]
+	clear(c.IsIn)
+	edges := make([][2]int, 0, m)
 
 	// Steps 1-3: distinguished nodes, split pairs, internal edges.
 	c.B, c.E = 0, 1
@@ -67,15 +88,15 @@ func build(s *sg.Graph) (*CLG, int) {
 	c.In[s.B], c.Out[s.B] = c.B, c.B
 	c.In[s.E], c.Out[s.E] = c.E, c.E
 	id := 2
-	for _, nd := range s.Nodes {
-		if !nd.IsRendezvous() {
+	for v := range s.Nodes {
+		if !s.Nodes[v].IsRendezvous() {
 			continue
 		}
 		ri, ro := id, id+1
 		id += 2
-		c.Orig[ri], c.Orig[ro] = nd.ID, nd.ID
-		c.IsIn[ri] = true
-		c.In[nd.ID], c.Out[nd.ID] = ri, ro
+		c.Orig[ri], c.Orig[ro] = v, v
+		c.IsIn.Set(ri)
+		c.In[v], c.Out[v] = ri, ro
 		edges = append(edges, [2]int{ro, ri})
 	}
 
@@ -96,32 +117,20 @@ func build(s *sg.Graph) (*CLG, int) {
 	}
 
 	// Step 6: sync edges, both directions.
-	for u, adj := range s.Sync {
-		for _, v := range adj {
+	for u := 0; u < sn; u++ {
+		for _, v := range s.Sync.Row(u) {
 			if u < v {
 				edges = append(edges, [2]int{c.Out[u], c.In[v]}, [2]int{c.Out[v], c.In[u]})
 			}
 		}
 	}
-	c.G = graph.FromEdges(n, edges)
-	// The first two steps' edges are distinct by construction (one
-	// internal edge per node; control edges map injectively), so the
-	// rest of the graph's edges derive from sync edges.
-	return c, c.G.M() - nr - s.Control.M()
-}
-
-// BuildTraced is Build recording the constructed graph's size — CLG
-// nodes, total edges, and sync-derived edges — into span (nil records
-// nothing). The pipeline uses it so the CLG stage span carries the inputs
-// each masked SCC run operates on.
-func BuildTraced(s *sg.Graph, span *obs.Span) *CLG {
-	c, syncEdges := build(s)
+	c.G, ints = graph.FromEdgesIn(ints, n, edges)
 	if span != nil {
-		span.Add("clg_nodes", int64(c.G.N()))
+		span.Add("clg_nodes", int64(n))
 		span.Add("clg_edges", int64(c.G.M()))
-		span.Add("clg_sync_edges", int64(syncEdges))
+		span.Add("clg_sync_edges", int64(2*s.NumSyncEdges()))
 	}
-	return c
+	return ints, words
 }
 
 // IsSyncEdge reports whether the CLG edge u->v derives from a sync edge.
@@ -131,18 +140,11 @@ func BuildTraced(s *sg.Graph, span *obs.Span) *CLG {
 // node's incoming half from a half that is not incoming. The rule is
 // exact on CLG edges; it says nothing about pairs that are not edges.
 func (c *CLG) IsSyncEdge(u, v int) bool {
-	return c.IsIn[v] && !c.IsIn[u] && c.Orig[u] != c.Orig[v]
+	return c.IsIn.Get(v) && !c.IsIn.Get(u) && c.Orig[u] != c.Orig[v]
 }
 
 // N returns the CLG node count.
 func (c *CLG) N() int { return c.G.N() }
-
-// SizeBytes approximates the CLG's resident footprint, for byte-budgeted
-// caches: the digraph's adjacency and the node maps at their capacities.
-func (c *CLG) SizeBytes() int64 {
-	sz := int64(unsafe.Sizeof(*c)) + c.G.SizeBytes()
-	return sz + int64(cap(c.In)+cap(c.Out)+cap(c.Orig))*8 + int64(cap(c.IsIn))
-}
 
 // M returns the CLG edge count.
 func (c *CLG) M() int { return c.G.M() }
@@ -208,17 +210,16 @@ func (c *CLG) Cycles() [][]int {
 // bidirectional. It finds spurious cycles like Figure 4(a); the CLG exists
 // precisely to kill them. Exposed for the F4 experiment.
 func SyncGraphHasCycle(s *sg.Graph) bool {
-	g := graph.New(s.N())
-	for u := 0; u < s.Control.N(); u++ {
+	edges := make([][2]int, 0, s.Control.M()+s.Sync.Cells())
+	for u := 0; u < s.N(); u++ {
 		for _, v := range s.Control.Succ(u) {
-			g.AddEdgeUnique(u, v)
+			edges = append(edges, [2]int{u, v})
+		}
+		for _, v := range s.Sync.Row(u) {
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	for u, adj := range s.Sync {
-		for _, v := range adj {
-			g.AddEdgeUnique(u, v)
-		}
-	}
+	g := graph.FromEdges(s.N(), edges)
 	// A cycle that uses one sync edge back and forth (u->v->u) is not a
 	// meaningful cycle; require a cycle visiting >= 2 distinct nodes via
 	// SCC and, for 2-node components, at least one control edge.
@@ -251,7 +252,7 @@ func (c *CLG) DOT() string {
 	b.WriteString("digraph clg {\n")
 	for v := 0; v < c.G.N(); v++ {
 		name := c.SG.Nodes[c.Orig[v]].String()
-		if c.IsIn[v] {
+		if c.IsIn.Get(v) {
 			name += "_i"
 		} else if v != c.B && v != c.E {
 			name += "_o"

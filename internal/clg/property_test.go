@@ -58,8 +58,8 @@ func TestQuickCLGStructure(t *testing.T) {
 		if classified != 2*g.NumSyncEdges() {
 			return false
 		}
-		for a, adj := range g.Sync {
-			for _, b := range adj {
+		for a := 0; a < g.N(); a++ {
+			for _, b := range g.Sync.Row(a) {
 				if !c.G.HasEdge(c.Out[a], c.In[b]) || !c.IsSyncEdge(c.Out[a], c.In[b]) {
 					return false
 				}

@@ -189,6 +189,20 @@ func (g *Gateway) recoverShard(shard []batchItem, results []service.BatchResult)
 	}
 }
 
+// sendSpanned runs send for the chunk span sp. A panic in send ends sp
+// with an error attr before it travels on to recoverShard, so the
+// exported chunk span is closed and says what happened.
+func sendSpanned(sp *obs.Span, send func() (*upstream, error)) (*upstream, error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			sp.SetAttr("error", fmt.Sprintf("panic: %v", rec))
+			sp.End()
+			panic(rec)
+		}
+	}()
+	return send()
+}
+
 // sendChunk forwards one sub-batch to its owner and merges the replica's
 // results back into the client's slots. Transport failure marks exactly
 // this chunk's items "unavailable" — they were in flight to a dead
@@ -228,7 +242,9 @@ func (g *Gateway) sendChunk(ctx context.Context, b *backend, meta batchMeta, chu
 	sp.SetAttr("backend", b.name)
 	sp.Set("items", int64(len(chunk)))
 	sp.Set("pass", int64(pass))
-	res, err := g.send(ctx, b, http.MethodPost, "/v1/analyze/batch", body, "", sp)
+	res, err := sendSpanned(sp, func() (*upstream, error) {
+		return g.send(ctx, b, http.MethodPost, "/v1/analyze/batch", body, "", sp)
+	})
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	} else {

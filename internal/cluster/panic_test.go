@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +130,20 @@ func TestGatewayBatchPanicAnswersInternal(t *testing.T) {
 	}
 	if got, want := g.Metrics().Panics.Load(), uint64(len(owners)); got != want {
 		t.Fatalf("panics=%d, want one per shard (%d)", got, want)
+	}
+	// Each panicking chunk's span is ended, with the panic as its error.
+	lookup := fetchTrace(t, gts.URL, resp.Header.Get("X-Trace-Id"))
+	chunks := 0
+	for _, c := range lookup.Records[0].Root.Children {
+		if c.Name == "batch-chunk" {
+			chunks++
+			if !strings.HasPrefix(c.Attrs["error"], "panic: ") {
+				t.Fatalf("batch-chunk span attrs %v, want a panic error attr", c.Attrs)
+			}
+		}
+	}
+	if chunks != len(owners) {
+		t.Fatalf("%d batch-chunk spans, want one per shard (%d)", chunks, len(owners))
 	}
 
 	fault.Reset()

@@ -65,11 +65,11 @@ func Refine(g *sg.Graph, info *order.Info) int {
 
 	// Rule 2 is not recursive; apply it once up front.
 	for i, x := range rendezvous {
-		if len(g.Sync[x]) != 1 {
+		if len(g.Sync.Row(x)) != 1 {
 			continue
 		}
 		for _, y := range rendezvous[i+1:] {
-			if len(g.Sync[y]) == 1 && g.Sync[x][0] == g.Sync[y][0] {
+			if len(g.Sync.Row(y)) == 1 && g.Sync.Row(x)[0] == g.Sync.Row(y)[0] {
 				add(x, y)
 			}
 		}
@@ -113,7 +113,7 @@ func Refine(g *sg.Graph, info *order.Info) int {
 // nonempty partner set all of whose members are NOT-COEXEC with x.
 func blockedBy(g *sg.Graph, info *order.Info, x int, chain []int) bool {
 	for _, d := range chain {
-		partners := g.Sync[d]
+		partners := g.Sync.Row(d)
 		if len(partners) == 0 {
 			continue
 		}

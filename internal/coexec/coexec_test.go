@@ -250,7 +250,7 @@ func assertSoundAgainstExplorer(t *testing.T, g *sg.Graph, info *order.Info, src
 		for y := x + 1; y < g.N(); y++ {
 			if info.NotCoexec.Get(x, y) && executedTogether[[2]int{x, y}] {
 				t.Fatalf("UNSOUND: NC(%s, %s) but both execute in one run\n%s",
-					g.Nodes[x], g.Nodes[y], src)
+					&g.Nodes[x], &g.Nodes[y], src)
 			}
 		}
 	}
@@ -346,7 +346,7 @@ func TestQuickRefineSound(t *testing.T) {
 		pairs := exploreExecutedPairs(g)
 		for k, both := range pairs {
 			if both && info.NotCoexec.Get(k[0], k[1]) {
-				t.Logf("UNSOUND NC(%s,%s):\n%s", g.Nodes[k[0]], g.Nodes[k[1]], p)
+				t.Logf("UNSOUND NC(%s,%s):\n%s", &g.Nodes[k[0]], &g.Nodes[k[1]], p)
 				return false
 			}
 		}

@@ -57,20 +57,20 @@ func (a *Analyzer) EnumerateCyclesRestricted(limit int, allowed func(sgNode int)
 		limit = DefaultEnumerateLimit
 	}
 	c := a.CLG
-	g := c.G
+	g := &c.G
 	if allowed != nil {
-		sub := graph.New(g.N())
+		var edges [][2]int
 		for u := 0; u < g.N(); u++ {
 			if !allowed(c.Orig[u]) {
 				continue
 			}
 			for _, v := range g.Succ(u) {
 				if allowed(c.Orig[v]) {
-					sub.AddEdge(u, v)
+					edges = append(edges, [2]int{u, v})
 				}
 			}
 		}
-		g = sub
+		g = graph.FromEdges(g.N(), edges)
 	}
 	comp, _ := g.SCC()
 
@@ -151,7 +151,7 @@ func (a *Analyzer) BreakableByOutsider(ci CycleInfo) (int, bool) {
 		cycleTasks[g.TaskOf[n]] = true
 	}
 	for _, t := range ci.Heads {
-		for _, w := range g.Sync[t] {
+		for _, w := range g.Sync.Row(t) {
 			if cycleTasks[g.TaskOf[w]] {
 				continue
 			}
@@ -159,7 +159,7 @@ func (a *Analyzer) BreakableByOutsider(ci CycleInfo) (int, bool) {
 				continue
 			}
 			ok := true
-			for _, p := range g.Sync[w] {
+			for _, p := range g.Sync.Row(w) {
 				if p == t || a.Ord.Precede.Get(t, p) {
 					continue
 				}

@@ -25,7 +25,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 	"unsafe"
 
 	"repro/internal/bitset"
@@ -93,7 +92,8 @@ type Verdict struct {
 // Concurrency: an Analyzer is read-only after construction and safe for
 // concurrent use — any number of goroutines may call the detector methods
 // on one shared Analyzer. All per-hypothesis mutable state (markings,
-// Tarjan scratch) lives in pooled probe values, never in the Analyzer.
+// Tarjan scratch) lives in probe values drawn from one pool that every
+// analyzer shares, never in the Analyzer.
 // The two exceptions to the read-only contract are the exported knobs
 // Parallelism and Trace, which callers set before handing the Analyzer
 // out. Trace aggregation is not synchronized across detector runs:
@@ -124,21 +124,33 @@ type Analyzer struct {
 	// POSS-HEADS, SEQUENCEABLE and NOT-COEXEC sets per rendezvous node,
 	// and tail candidates per possible head.
 	heads   []int
-	seqSets [][]int
-	ncxSets [][]int
-	tails   [][]int
+	seqSets graph.Rows
+	ncxSets graph.Rows
+	tails   graph.Rows
 
-	// probes is behind a pointer so Session views share one scratch pool
-	// with the analyzer they alias (copying a sync.Pool is illegal).
-	probes *sync.Pool
+	// The analysis' two slabs: ints holds every int table — the sync
+	// graph's (on the analyzer's own copy of the graph), the CLG's,
+	// COACCEPT and the tables above — and words every bit row (the four
+	// ordering matrices and the CLG's IsIn).
+	ints  []int
+	words []uint64
+}
+
+// block is an Analyzer's one allocation besides its slabs: the analyzer,
+// its copy of the sync graph, its CLG and its ordering facts.
+type block struct {
+	a   Analyzer
+	g   sg.Graph
+	c   clg.CLG
+	ord order.Info
 }
 
 // Session returns a lightweight view of the analyzer binding per-run
 // knobs without mutating the shared value: the view aliases every
-// immutable table (and the probe pool) but carries its own Parallelism
-// and Trace. Stage caches that share one Analyzer per program digest
-// across concurrently running algorithms must run detectors through
-// sessions — writing the knobs on the shared Analyzer would race.
+// immutable table but carries its own Parallelism and Trace. Stage
+// caches that share one Analyzer per program digest across concurrently
+// running algorithms must run detectors through sessions — writing the
+// knobs on the shared Analyzer would race.
 func (a *Analyzer) Session(parallelism int, trace *obs.Span) *Analyzer {
 	s := *a
 	s.Parallelism = parallelism
@@ -146,122 +158,139 @@ func (a *Analyzer) Session(parallelism int, trace *obs.Span) *Analyzer {
 	return &s
 }
 
-// SizeBytes approximates the analyzer's resident footprint, for byte-
-// budgeted caches: its CLG and ordering tables plus the hypothesis
-// tables, every row at its capacity. The sync graph is the caller's to
-// count (it is shared, not owned).
+// SizeBytes reports the analyzer's allocated footprint, for byte-
+// budgeted caches: its block and its two slabs at their capacities, plus
+// the node, name and task slabs of the sync graph it was built from,
+// which its copy of the graph shares.
 func (a *Analyzer) SizeBytes() int64 {
-	sz := int64(unsafe.Sizeof(*a)) + int64(unsafe.Sizeof(sync.Pool{}))
-	sz += a.CLG.SizeBytes() + a.Ord.SizeBytes() + int64(cap(a.heads))*8
-	return sz + graph.TableBytes(a.seqSets) + graph.TableBytes(a.ncxSets) + graph.TableBytes(a.tails)
+	return int64(unsafe.Sizeof(block{})) + int64(cap(a.ints))*8 + int64(cap(a.words))*8 + a.SG.SlabBytes()
 }
 
 // NewAnalyzer builds the CLG and ordering facts for g. The sync graph must
 // be loop-free for the refined detectors to gain any precision; with
 // control cycles they degrade (safely) toward the naive answer.
 //
-// Ordering facts are snapshotted here: order.Info.AddNotCoexec calls made
-// after construction are not seen by this Analyzer's detectors.
+// The analyzer works on its own copy of g, whose int tables it moves into
+// its slab; the copy shares g's nodes and names. Later changes to g (such
+// as RemoveSyncEdges) are not seen by the analyzer.
 func NewAnalyzer(g *sg.Graph) *Analyzer {
 	return NewAnalyzerTraced(g, nil)
 }
 
 // NewAnalyzerTraced is NewAnalyzer recording the derived structures' sizes
 // (CLG nodes/edges) into span (nil span records nothing).
+//
+// Construction sizes both slabs before filling them. The word slab's size
+// follows from the node counts; the ordering facts fill it first. Those
+// facts decide the hypothesis sets, which are formed word-wide in scratch
+// rows whose counts size the int slab. The int slab then takes, in order,
+// the graph's tables, the CLG, COACCEPT and the hypothesis tables.
 func NewAnalyzerTraced(g *sg.Graph, span *obs.Span) *Analyzer {
-	a := &Analyzer{SG: g, CLG: clg.BuildTraced(g, span), Ord: order.Compute(g), probes: new(sync.Pool)}
-	a.buildTables()
+	b := &block{g: *g}
+	a := &b.a
+	a.SG, a.CLG, a.Ord = &b.g, &b.c, &b.ord
+	clgInts, clgWords := clg.Len(g)
+	a.words = graph.Slab[uint64](order.Words(g) + clgWords)
+	words := order.Into(a.Ord, a.SG, a.words)
+	coacc := order.CoAcceptRows(g)
+	h := a.hypothesisSets(coacc)
+
+	n := g.N()
+	a.ints = graph.Slab[int](g.IntsLen() + clgInts + coacc.IntsLen() + len(h.heads) +
+		graph.RowsLen(n, h.nseq) + graph.RowsLen(n, h.nncx) + graph.RowsLen(n, h.ntail))
+	rest := a.SG.MoveInts(a.ints)
+	rest, _ = clg.Into(a.CLG, a.SG, rest, words, span)
+	a.Ord.CoAccept, rest = coacc.MoveTo(rest)
+	a.heads, rest = graph.CopyTo(rest, h.heads)
+	a.seqSets, rest = graph.RowsIn(rest, n, h.nseq)
+	a.ncxSets, rest = graph.RowsIn(rest, n, h.nncx)
+	a.tails, _ = graph.RowsIn(rest, n, h.ntail)
+	for v := 0; v < n; v++ {
+		if g.Nodes[v].IsRendezvous() {
+			a.seqSets.Extend(h.seq.Row(v).Members)
+			a.ncxSets.Extend(a.Ord.NotCoexec.Row(v).Members)
+			a.tails.Extend(h.tail.Row(v).Members)
+		}
+		a.seqSets.EndRow(v)
+		a.ncxSets.EndRow(v)
+		a.tails.EndRow(v)
+	}
 	return a
 }
 
-// buildTables materializes the hypothesis tables: POSS-HEADS, the
-// SEQUENCEABLE and NOT-COEXEC sets of every rendezvous node, and the tail
-// candidates of every possible head. Each set is first formed word-wide
-// as a bit row; the rows' counts then size one slab, and every table row
-// is carved from it in ascending node order.
-func (a *Analyzer) buildTables() {
+// hypothesisScratch holds the scratch form of the hypothesis tables:
+// POSS-HEADS, and per node the SEQUENCEABLE set and, for possible heads,
+// the tail candidates, as bit rows; with the cell counts that size the
+// tables (NOT-COEXEC is read from the ordering facts).
+type hypothesisScratch struct {
+	heads             []int
+	seq, tail         bitset.Matrix
+	nseq, nncx, ntail int
+}
+
+// hypothesisSets forms the hypothesis sets word-wide from the ordering
+// facts and the COACCEPT table.
+func (a *Analyzer) hypothesisSets(coacc graph.Rows) hypothesisScratch {
 	g, ord := a.SG, a.Ord
 	n := g.N()
-	unsynced := bitset.NewRow(n) // nodes that cannot be tails
-	for _, nd := range g.Nodes {
-		if !nd.IsRendezvous() || len(g.Sync[nd.ID]) == 0 {
-			unsynced.Set(nd.ID)
+	var h hypothesisScratch
+	scratch := make([]uint64, 2*bitset.MatrixWords(n)+bitset.Words(n))
+	h.seq, scratch = bitset.MatrixIn(scratch, n)
+	h.tail, scratch = bitset.MatrixIn(scratch, n)
+	unsynced := bitset.Row(scratch) // nodes that cannot be tails
+	for v := range g.Nodes {
+		if !g.Nodes[v].IsRendezvous() || len(g.Sync.Row(v)) == 0 {
+			unsynced.Set(v)
 		}
 	}
 	// seq.Row(r): nodes s != r that r precedes, that precede r, or that
 	// cannot co-head with r. order.Compute relates rendezvous nodes only.
-	seq := bitset.NewMatrix(n)
 	precedes := make([]int, 0, n)
 	for r := 0; r < n; r++ {
-		bitset.Or(seq.Row(r), ord.Precede.Row(r))
-		bitset.Or(seq.Row(r), ord.NoCohead.Row(r))
+		bitset.Or(h.seq.Row(r), ord.Precede.Row(r))
+		bitset.Or(h.seq.Row(r), ord.NoCohead.Row(r))
 		precedes = ord.Precede.Row(r).Members(precedes[:0])
 		for _, s := range precedes {
-			seq.Set(s, r)
+			h.seq.Set(s, r)
 		}
 	}
 	// tail.Row(h): rendezvous nodes with sync edges, strictly control-
 	// reachable from h, not same-type co-accepts of h and co-executable
 	// with h.
-	tail := bitset.NewMatrix(n)
-	nh, total := 0, 0
-	for _, nd := range g.Nodes {
-		if !nd.IsRendezvous() {
+	for r := range g.Nodes {
+		if !g.Nodes[r].IsRendezvous() {
 			continue
 		}
-		r := nd.ID
-		seq.Row(r).Clear(r)
-		total += seq.Row(r).Count() + ord.NotCoexec.Row(r).Count()
-		if !a.isHead(nd) {
+		h.seq.Row(r).Clear(r)
+		h.nseq += h.seq.Row(r).Count()
+		h.nncx += ord.NotCoexec.Row(r).Count()
+		if !a.isHead(r) {
 			continue
 		}
-		tr := tail.Row(r)
+		h.heads = append(h.heads, r)
+		tr := h.tail.Row(r)
 		for _, s := range g.Control.Succ(r) {
 			bitset.Or(tr, ord.Reach.Row(s))
 		}
 		bitset.AndNot(tr, unsynced)
 		bitset.AndNot(tr, ord.NotCoexec.Row(r))
-		for _, k := range ord.CoAccept[r] {
+		for _, k := range coacc.Row(r) {
 			tr.Clear(k)
 		}
-		nh++
-		total += tr.Count()
+		h.ntail += tr.Count()
 	}
-
-	slab := make([]int, 0, nh+total)
-	carve := func(row bitset.Row) []int {
-		start := len(slab)
-		slab = row.Members(slab)
-		return slab[start:len(slab):len(slab)]
-	}
-	rows := make([][]int, 3*n)
-	a.seqSets, a.ncxSets, a.tails = rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
-	for _, nd := range g.Nodes {
-		if a.isHead(nd) {
-			slab = append(slab, nd.ID)
-		}
-	}
-	a.heads = slab[:nh:nh]
-	for _, nd := range g.Nodes {
-		if nd.IsRendezvous() {
-			a.seqSets[nd.ID] = carve(seq.Row(nd.ID))
-			a.ncxSets[nd.ID] = carve(ord.NotCoexec.Row(nd.ID))
-		}
-	}
-	for _, h := range a.heads {
-		a.tails[h] = carve(tail.Row(h))
-	}
+	return h
 }
 
 // isHead reports whether n is in the paper's POSS-HEADS set: a rendezvous
 // node with at least one sync edge that is the tail of at least one
 // control edge leading to another rendezvous node.
-func (a *Analyzer) isHead(n *sg.Node) bool {
+func (a *Analyzer) isHead(v int) bool {
 	g := a.SG
-	if !n.IsRendezvous() || len(g.Sync[n.ID]) == 0 {
+	if !g.Nodes[v].IsRendezvous() || len(g.Sync.Row(v)) == 0 {
 		return false
 	}
-	for _, s := range g.Control.Succ(n.ID) {
+	for _, s := range g.Control.Succ(v) {
 		if s != g.E && g.Nodes[s].IsRendezvous() {
 			return true
 		}
@@ -285,7 +314,7 @@ func (a *Analyzer) Naive() Verdict {
 
 // tailCandidates returns the cached tail set for possible head h (nil for
 // nodes outside POSS-HEADS). Callers must not modify the returned slice.
-func (a *Analyzer) tailCandidates(h int) []int { return a.tails[h] }
+func (a *Analyzer) tailCandidates(h int) []int { return a.tails.Row(h) }
 
 // Refined runs the paper's main refined algorithm: one masked SCC search
 // per possible head node. Total time O(|N_CLG| * (|N_CLG| + |E_CLG|)),

@@ -136,7 +136,7 @@ func (a *Analyzer) plausibleDeadlockCycle(ci CycleInfo) bool {
 		if h == t {
 			continue
 		}
-		for _, co := range a.Ord.CoAccept[h] {
+		for _, co := range a.Ord.CoAccept.Row(h) {
 			if co == t {
 				return false
 			}
@@ -161,7 +161,7 @@ func (a *Analyzer) enumerateSmallCycles(maxTasks, limit int) ([]CycleInfo, bool)
 		limit = 1 << 17
 	}
 	c := a.CLG
-	g := c.G
+	g := &c.G
 	comp, _ := g.SCC()
 	sizes := graph.SCCSizes(comp, g.N()+1)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -54,41 +55,56 @@ type sccFrame struct {
 	ei int
 }
 
-// newProbe returns a probe sized for the analyzer's CLG, drawing from the
-// analyzer's pool so repeated sweeps reuse scratch memory. A fresh probe
-// cuts its int scratch from one slab; the Tarjan stack and component
-// buffer hold at most one entry per CLG node, so they never outgrow it.
+// probes holds idle probes for every analyzer. A probe keeps the
+// scratch of the largest CLG it has served and is resliced to the one at
+// hand: its epoch stamps only grow, so stamps left by another analyzer's
+// searches never match a fresh epoch, and every search pops what it
+// pushed, leaving onStack clear.
+var probes sync.Pool
+
+// newProbe returns a probe sized for the analyzer's CLG, reusing pooled
+// scratch when it is large enough. A fresh probe cuts its int scratch
+// from one slab; the Tarjan stack and component buffer hold at most one
+// entry per CLG node, so they never outgrow it.
 func (a *Analyzer) newProbe() *probe {
-	if p, ok := a.probes.Get().(*probe); ok && p != nil {
-		p.prunedSeq, p.prunedCoacc, p.prunedNcx, p.hypothesesRun = 0, 0, 0, 0
-		return p
+	n, sn := a.CLG.N(), a.SG.N()
+	p, _ := probes.Get().(*probe)
+	if p == nil || cap(p.blocked) < n || cap(p.witSeen) < sn {
+		ints := make([]int, 9*n+sn)
+		cut := func(size int) []int {
+			s := ints[:size:size]
+			ints = ints[size:]
+			return s
+		}
+		p = &probe{
+			blocked:     cut(n),
+			noSyncInto:  cut(n),
+			noSyncOutOf: cut(n),
+			visited:     cut(n),
+			index:       cut(n),
+			low:         cut(n),
+			compOf:      cut(n),
+			stack:       cut(n)[:0],
+			compBuf:     cut(n)[:0],
+			witSeen:     cut(sn),
+			onStack:     make([]bool, n),
+			frames:      make([]sccFrame, 0, n),
+		}
 	}
-	n := a.CLG.N()
-	ints := make([]int, 9*n+a.SG.N())
-	cut := func(size int) []int {
-		s := ints[:size:size]
-		ints = ints[size:]
-		return s
-	}
-	return &probe{
-		a:           a,
-		blocked:     cut(n),
-		noSyncInto:  cut(n),
-		noSyncOutOf: cut(n),
-		visited:     cut(n),
-		index:       cut(n),
-		low:         cut(n),
-		compOf:      cut(n),
-		stack:       cut(n)[:0],
-		compBuf:     cut(n)[:0],
-		witSeen:     cut(a.SG.N()),
-		onStack:     make([]bool, n),
-		frames:      make([]sccFrame, 0, n),
-	}
+	p.a = a
+	p.blocked, p.noSyncInto, p.noSyncOutOf = p.blocked[:n], p.noSyncInto[:n], p.noSyncOutOf[:n]
+	p.visited, p.index, p.low, p.compOf = p.visited[:n], p.index[:n], p.low[:n], p.compOf[:n]
+	p.onStack, p.witSeen = p.onStack[:n], p.witSeen[:sn]
+	p.prunedSeq, p.prunedCoacc, p.prunedNcx, p.hypothesesRun = 0, 0, 0, 0
+	return p
 }
 
-// putProbe returns a probe to the analyzer's pool.
-func (a *Analyzer) putProbe(p *probe) { a.probes.Put(p) }
+// putProbe returns a probe to the shared pool, dropping its analyzer so
+// an idle probe pins no analysis.
+func (a *Analyzer) putProbe(p *probe) {
+	p.a = nil
+	probes.Put(p)
+}
 
 // flushTrace folds the probe's accumulated marking counters into span.
 // Only the sweep coordinator may call it (obs.Span is not concurrent-safe).
@@ -125,16 +141,16 @@ func (p *probe) noSyncOut(v int) bool { return p.noSyncOutOf[v] == p.epoch }
 func (p *probe) markHead(h int) {
 	a := p.a
 	c := a.CLG
-	seq := a.seqSets[h]
+	seq := a.seqSets.Row(h)
 	for _, k := range seq {
 		p.blockSyncInto(c.In[k])
 	}
-	coacc := a.Ord.CoAccept[h]
+	coacc := a.Ord.CoAccept.Row(h)
 	for _, k := range coacc {
 		p.blockSyncInto(c.In[k])
 		p.blockSyncOutOf(c.Out[k])
 	}
-	ncx := a.ncxSets[h]
+	ncx := a.ncxSets.Row(h)
 	for _, k := range ncx {
 		p.block(c.In[k])
 		p.block(c.Out[k])
@@ -150,16 +166,16 @@ func (p *probe) markHead(h int) {
 func (p *probe) markHeadTail(h, t int) {
 	a := p.a
 	c := a.CLG
-	seq := a.seqSets[h]
+	seq := a.seqSets.Row(h)
 	for _, k := range seq {
 		p.blockSyncInto(c.In[k])
 	}
-	ncxH := a.ncxSets[h]
+	ncxH := a.ncxSets.Row(h)
 	for _, k := range ncxH {
 		p.block(c.In[k])
 		p.block(c.Out[k])
 	}
-	ncxT := a.ncxSets[t]
+	ncxT := a.ncxSets.Row(t)
 	for _, k := range ncxT {
 		p.block(c.In[k])
 		p.block(c.Out[k])
@@ -190,7 +206,7 @@ func (p *probe) maskedSCC(start int) ([]int, bool) {
 		return nil, false
 	}
 	c := p.a.CLG
-	g := c.G
+	g := &c.G
 	n := g.N()
 	p.sccEpoch++
 	epoch := p.sccEpoch
@@ -221,8 +237,8 @@ func (p *probe) maskedSCC(start int) ([]int, bool) {
 	for len(p.frames) > 0 {
 		f := &p.frames[len(p.frames)-1]
 		v := f.v
-		if f.ei < len(g.Succ(v)) {
-			w := g.Succ(v)[f.ei]
+		if succ := g.Succ(v); f.ei < len(succ) {
+			w := succ[f.ei]
 			f.ei++
 			if !allowed(v, w) {
 				continue

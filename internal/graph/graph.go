@@ -9,77 +9,196 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"unsafe"
 )
 
-// Digraph is a directed graph over nodes 0..N-1 with adjacency lists.
-// The zero value is an empty graph; grow it with EnsureNode / AddEdge.
-type Digraph struct {
-	succ [][]int
-	pred [][]int
-	m    int // edge count
+// Slab returns a zeroed slice of n elements whose capacity is the whole
+// allocation the runtime makes for it — n rounded up to the allocator's
+// size class — so a cache that sizes an artifact by its slabs'
+// capacities counts the bytes it actually holds.
+func Slab[T any](n int) []T { return slices.Grow([]T(nil), n)[:n] }
+
+// Rows is a table of int rows in offset-array form: row i is
+// cells[off[i]:off[i+1]]. Both arrays are plain []int, so a builder can
+// carve them from one slab it has sized. The zero value has no rows.
+type Rows struct{ off, cells []int }
+
+// RowsLen reports the ints a table of n rows holding m cells occupies.
+func RowsLen(n, m int) int { return n + 1 + m }
+
+// RowsIn carves an empty table of n rows with room for m cells from the
+// front of dst and returns it with the rest of dst. Fill it row by row:
+// Append row i's cells, then EndRow(i), for every i in ascending order.
+func RowsIn(dst []int, n, m int) (Rows, []int) {
+	off := dst[: n+1 : n+1]
+	clear(off)
+	return Rows{off: off, cells: dst[n+1 : n+1 : n+1+m]}, dst[n+1+m:]
 }
 
-// New returns a digraph with n nodes and no edges.
-func New(n int) *Digraph {
-	return &Digraph{succ: make([][]int, n), pred: make([][]int, n)}
+// RowsOf wraps filled offset and cell arrays: off holds n+1 ascending
+// offsets into cells, from 0 to len(cells).
+func RowsOf(off, cells []int) Rows { return Rows{off: off, cells: cells} }
+
+// Append adds v to the row being filled. Appending beyond the room
+// RowsIn reserved moves the cells off the slab.
+func (r *Rows) Append(v int) { r.cells = append(r.cells, v) }
+
+// Extend appends to the row being filled whatever f appends to its
+// argument, as bitset.Row.Members does.
+func (r *Rows) Extend(f func([]int) []int) { r.cells = f(r.cells) }
+
+// EndRow closes row i with the cells appended since row i-1 was closed.
+func (r *Rows) EndRow(i int) { r.off[i+1] = len(r.cells) }
+
+// Len reports the number of rows.
+func (r *Rows) Len() int { return max(len(r.off)-1, 0) }
+
+// Row returns row i, capped at its length. The slice is owned by the
+// table.
+func (r *Rows) Row(i int) []int {
+	a, b := r.off[i], r.off[i+1]
+	return r.cells[a:b:b]
 }
 
-// FromEdges returns the digraph on nodes 0..n-1 that calling AddEdgeUnique
-// on each edge in order would build, in a fixed handful of allocations:
-// every successor and predecessor row is carved from one slab, keeps its
-// insertion order, and is capped at its own degree, so a later AddEdge
-// reallocates that row alone instead of overwriting its neighbour. Nodes
-// without edges keep nil rows, as in New.
+// Cells reports the number of cells in all rows.
+func (r *Rows) Cells() int { return len(r.cells) }
+
+// IntsLen reports the ints the table occupies.
+func (r *Rows) IntsLen() int { return len(r.off) + len(r.cells) }
+
+// MoveTo copies the table to the front of dst and returns the copy and
+// the rest of dst.
+func (r *Rows) MoveTo(dst []int) (Rows, []int) {
+	off, dst := CopyTo(dst, r.off)
+	cells, dst := CopyTo(dst, r.cells)
+	return Rows{off: off, cells: cells}, dst
+}
+
+// CopyTo copies s to the front of dst and returns the capped copy and
+// the rest of dst.
+func CopyTo(dst, s []int) ([]int, []int) {
+	c := dst[:len(s):len(s)]
+	copy(c, s)
+	return c, dst[len(s):]
+}
+
+// Filter drops every cell v of row i for which keep(i, v) is false,
+// closing the gaps in place, and returns how many it dropped.
+func (r *Rows) Filter(keep func(i, v int) bool) int {
+	w, start := 0, 0
+	for i := 0; i < r.Len(); i++ {
+		end := r.off[i+1]
+		for _, v := range r.cells[start:end] {
+			if keep(i, v) {
+				r.cells[w] = v
+				w++
+			}
+		}
+		r.off[i+1], start = w, end
+	}
+	dropped := len(r.cells) - w
+	r.cells = r.cells[:w:w]
+	return dropped
+}
+
+// RowsByKey carves from the front of dst the table whose row k lists, in
+// ascending order, every index i with keys[i] == k, for k in [0, n);
+// other keys are skipped. m is the number of indexes kept. It returns
+// the table and the rest of dst.
+func RowsByKey(dst []int, n, m int, keys []int) (Rows, []int) {
+	r, rest := RowsIn(dst, n, m)
+	for _, k := range keys {
+		if k >= 0 && k < n {
+			r.off[k+1]++
+		}
+	}
+	for k := 0; k < n; k++ {
+		r.off[k+1] += r.off[k]
+	}
+	r.cells = r.cells[:r.off[n]]
+	for i, k := range keys {
+		if k >= 0 && k < n {
+			r.cells[r.off[k]] = i
+			r.off[k]++
+		}
+	}
+	copy(r.off[1:], r.off[:n])
+	r.off[0] = 0
+	return r, rest
+}
+
+// Digraph is an immutable directed graph over nodes 0..N-1 whose
+// successor and predecessor lists are offset arrays. FromEdges and
+// FromEdgesIn build one; the zero value is the empty graph.
+type Digraph struct{ succ, pred Rows }
+
+// DigraphLen reports the ints FromEdgesIn needs for n nodes and m edges.
+func DigraphLen(n, m int) int { return 2 * RowsLen(n, m) }
+
+// FromEdges returns the digraph on nodes 0..n-1 with the given edges, in
+// one allocation (see FromEdgesIn).
 func FromEdges(n int, edges [][2]int) *Digraph {
-	rows := make([][]int, 2*n)
-	g := &Digraph{succ: rows[:n:n], pred: rows[n:]}
-	// Out-degrees, then in-degrees, duplicates included; small graphs
-	// count on the stack.
-	var small [64]int
-	deg := small[:0]
-	if 2*n <= len(small) {
-		deg = small[:2*n]
-	} else {
-		deg = make([]int, 2*n)
-	}
+	g, _ := FromEdgesIn(make([]int, DigraphLen(n, len(edges))), n, edges)
+	return &g
+}
+
+// FromEdgesIn builds the digraph on nodes 0..n-1 with the given edges in
+// the front of dst, which must hold DigraphLen(n, len(edges)) ints, and
+// returns it with the part of dst it left unused (the room duplicate
+// edges would have taken). Duplicate edges are dropped; every successor
+// list keeps the edges' order and every predecessor list is ascending.
+func FromEdgesIn(dst []int, n int, edges [][2]int) (Digraph, []int) {
+	soff, poff := dst[:n+1:n+1], dst[n+1:2*n+2:2*n+2]
+	cells := dst[2*n+2 : 2*n+2+len(edges)]
+	clear(soff)
+	clear(poff)
+	// Provisional row starts from the out-degrees, duplicates included;
+	// poff[:n] counts what each row keeps.
 	for _, e := range edges {
-		deg[e[0]]++
-		deg[n+e[1]]++
+		soff[e[0]+1]++
 	}
-	slab := make([]int, 2*len(edges))
-	off := 0
-	for v, d := range deg {
-		if d > 0 {
-			rows[v] = slab[off : off : off+d]
-			off += d
-		}
+	for v := 0; v < n; v++ {
+		soff[v+1] += soff[v]
 	}
-	for _, e := range edges {
-		if row := g.succ[e[0]]; !contains(row, e[1]) {
-			g.succ[e[0]] = append(row, e[1])
-		}
-	}
-	// Walk the edges again: an edge was kept iff it is the next entry of
-	// its source's row (a duplicate repeats an earlier entry, so it can
-	// never be the next one). deg[:n] is reused as the per-row cursor.
-	next := deg[:n]
-	clear(next)
+	kept := poff[:n]
 	for _, e := range edges {
 		u, v := e[0], e[1]
-		if row := g.succ[u]; next[u] < len(row) && row[next[u]] == v {
-			next[u]++
-			g.pred[v] = append(g.pred[v], u)
-			g.m++
+		if at := soff[u] + kept[u]; !contains(cells[soff[u]:at], v) {
+			cells[at] = v
+			kept[u]++
 		}
 	}
-	for v, row := range rows {
-		if row != nil {
-			rows[v] = row[:len(row):len(row)]
+	// Close the gaps the duplicates left.
+	m := 0
+	for u := 0; u < n; u++ {
+		start := soff[u]
+		copy(cells[m:], cells[start:start+kept[u]])
+		soff[u] = m
+		m += kept[u]
+	}
+	soff[n] = m
+	g := Digraph{succ: Rows{off: soff, cells: cells[:m:m]}}
+	// Predecessors by counting sort over the successor lists: poff[v]
+	// runs from row v's start to its end, then shifts one place right.
+	pcells := dst[2*n+2+m : 2*n+2+2*m : 2*n+2+2*m]
+	clear(poff)
+	for _, v := range g.succ.cells {
+		poff[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		poff[v+1] += poff[v]
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.succ.Row(u) {
+			pcells[poff[v]] = u
+			poff[v]++
 		}
 	}
-	return g
+	copy(poff[1:], poff[:n])
+	poff[0] = 0
+	g.pred = Rows{off: poff, cells: pcells}
+	return g, dst[2*n+2+2*m:]
 }
 
 func contains(s []int, v int) bool {
@@ -91,121 +210,53 @@ func contains(s []int, v int) bool {
 	return false
 }
 
+// IntsLen reports the ints the graph's lists occupy.
+func (g *Digraph) IntsLen() int { return g.succ.IntsLen() + g.pred.IntsLen() }
+
+// MoveTo copies the graph's lists to the front of dst and returns the
+// copy and the rest of dst.
+func (g *Digraph) MoveTo(dst []int) (Digraph, []int) {
+	var c Digraph
+	c.succ, dst = g.succ.MoveTo(dst)
+	c.pred, dst = g.pred.MoveTo(dst)
+	return c, dst
+}
+
 // N reports the number of nodes.
-func (g *Digraph) N() int { return len(g.succ) }
+func (g *Digraph) N() int { return g.succ.Len() }
 
 // M reports the number of edges.
-func (g *Digraph) M() int { return g.m }
-
-// SizeBytes reports the digraph's allocated footprint: both adjacency
-// tables, every list at its capacity.
-func (g *Digraph) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*g)) + TableBytes(g.succ) + TableBytes(g.pred)
-}
-
-// TableBytes is the allocated footprint of an int table such as an
-// adjacency list: the row headers and every row at its capacity. Byte-
-// budgeted caches use it to size the pipeline's artifacts.
-func TableBytes(t [][]int) int64 {
-	sz := int64(cap(t)) * int64(unsafe.Sizeof([]int(nil)))
-	for _, row := range t {
-		sz += int64(cap(row)) * 8
-	}
-	return sz
-}
-
-// MapBytes estimates the footprint of a Go map holding n entries of
-// slotBytes (key plus value) each: a fixed header plus about two slots
-// per entry, which covers the load factor and control bytes.
-func MapBytes(n int, slotBytes int64) int64 {
-	return 48 + int64(n)*2*slotBytes
-}
-
-// EnsureNode grows the graph so that node v exists, returning v.
-func (g *Digraph) EnsureNode(v int) int {
-	for len(g.succ) <= v {
-		g.succ = append(g.succ, nil)
-		g.pred = append(g.pred, nil)
-	}
-	return v
-}
-
-// AddNode appends a fresh node and returns its id.
-func (g *Digraph) AddNode() int {
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	return len(g.succ) - 1
-}
-
-// AddEdge inserts the directed edge u->v. Both endpoints are created if
-// needed. Parallel edges are kept; callers that need simple graphs should
-// use AddEdgeUnique.
-func (g *Digraph) AddEdge(u, v int) {
-	g.EnsureNode(u)
-	g.EnsureNode(v)
-	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
-	g.m++
-}
-
-// AddEdgeUnique inserts u->v unless it is already present.
-func (g *Digraph) AddEdgeUnique(u, v int) {
-	g.EnsureNode(u)
-	g.EnsureNode(v)
-	if !contains(g.succ[u], v) {
-		g.AddEdge(u, v)
-	}
-}
+func (g *Digraph) M() int { return g.succ.Cells() }
 
 // HasEdge reports whether the edge u->v is present.
 func (g *Digraph) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.succ) {
-		return false
-	}
-	for _, w := range g.succ[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return u >= 0 && u < g.N() && contains(g.succ.Row(u), v)
 }
 
 // Succ returns the successor list of v. The slice is owned by the graph.
-func (g *Digraph) Succ(v int) []int { return g.succ[v] }
+func (g *Digraph) Succ(v int) []int { return g.succ.Row(v) }
 
 // Pred returns the predecessor list of v. The slice is owned by the graph.
-func (g *Digraph) Pred(v int) []int { return g.pred[v] }
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := New(g.N())
-	c.m = g.m
-	for v := range g.succ {
-		c.succ[v] = append([]int(nil), g.succ[v]...)
-		c.pred[v] = append([]int(nil), g.pred[v]...)
-	}
-	return c
-}
+func (g *Digraph) Pred(v int) []int { return g.pred.Row(v) }
 
 // Reverse returns a new graph with every edge flipped.
 func (g *Digraph) Reverse() *Digraph {
-	r := New(g.N())
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
-			r.AddEdge(v, u)
+	edges := make([][2]int, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Succ(u) {
+			edges = append(edges, [2]int{v, u})
 		}
 	}
-	return r
+	return FromEdges(g.N(), edges)
 }
 
 // String renders the graph as "n=..., m=..., edges" for debugging.
 func (g *Digraph) String() string {
 	s := fmt.Sprintf("digraph(n=%d m=%d)", g.N(), g.M())
-	for u := range g.succ {
-		if len(g.succ[u]) == 0 {
-			continue
+	for u := 0; u < g.N(); u++ {
+		if row := g.Succ(u); len(row) > 0 {
+			s += fmt.Sprintf(" %d->%v", u, row)
 		}
-		s += fmt.Sprintf(" %d->%v", u, g.succ[u])
 	}
 	return s
 }
@@ -224,7 +275,7 @@ func (g *Digraph) ReachableFrom(roots ...int) []bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.succ[v] {
+		for _, w := range g.Succ(v) {
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)
@@ -259,7 +310,7 @@ func (g *Digraph) HasCycle() (bool, []int) {
 	var visit func(v int) bool
 	visit = func(v int) bool {
 		color[v] = gray
-		for _, w := range g.succ[v] {
+		for _, w := range g.Succ(v) {
 			switch color[w] {
 			case white:
 				parent[w] = v
@@ -295,10 +346,8 @@ func (g *Digraph) HasCycle() (bool, []int) {
 // cyclic.
 func (g *Digraph) Topo() ([]int, error) {
 	indeg := make([]int, g.N())
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
-			indeg[v]++
-		}
+	for _, v := range g.succ.cells {
+		indeg[v]++
 	}
 	// Kahn's algorithm. Nodes leave the queue in the order they entered
 	// it, so the queue itself becomes the order.
@@ -309,7 +358,7 @@ func (g *Digraph) Topo() ([]int, error) {
 		}
 	}
 	for i := 0; i < len(order); i++ {
-		for _, w := range g.succ[order[i]] {
+		for _, w := range g.Succ(order[i]) {
 			indeg[w]--
 			if indeg[w] == 0 {
 				order = append(order, w)
@@ -341,16 +390,15 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 	var stack []int
 	idx := 0
 
-	type frame struct {
-		v  int
-		ei int
-	}
+	// A frame walks its node's successors by cell position.
+	off, cells := g.succ.off, g.succ.cells
+	type frame struct{ v, at int }
 	var callStack []frame
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		callStack = append(callStack[:0], frame{root, 0})
+		callStack = append(callStack[:0], frame{root, off[root]})
 		index[root], low[root] = idx, idx
 		idx++
 		stack = append(stack, root)
@@ -358,15 +406,15 @@ func (g *Digraph) SCC() (comp []int, ncomp int) {
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
 			v := f.v
-			if f.ei < len(g.succ[v]) {
-				w := g.succ[v][f.ei]
-				f.ei++
+			if f.at < off[v+1] {
+				w := cells[f.at]
+				f.at++
 				if index[w] == -1 {
 					index[w], low[w] = idx, idx
 					idx++
 					stack = append(stack, w)
 					onStack[w] = true
-					callStack = append(callStack, frame{w, 0})
+					callStack = append(callStack, frame{w, off[w]})
 				} else if onStack[w] && index[w] < low[v] {
 					low[v] = index[w]
 				}
@@ -427,8 +475,8 @@ func (g *Digraph) Dominators(entry int) []int {
 	seen[entry] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.ei < len(g.succ[f.v]) {
-			w := g.succ[f.v][f.ei]
+		if succ := g.Succ(f.v); f.ei < len(succ) {
+			w := succ[f.ei]
 			f.ei++
 			if !seen[w] {
 				seen[w] = true
@@ -472,7 +520,7 @@ func (g *Digraph) Dominators(entry int) []int {
 				continue
 			}
 			newIdom := -1
-			for _, p := range g.pred[v] {
+			for _, p := range g.Pred(v) {
 				if idom[p] == -1 {
 					continue
 				}

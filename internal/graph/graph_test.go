@@ -8,18 +8,18 @@ import (
 )
 
 func TestEmptyGraph(t *testing.T) {
-	g := New(0)
-	if g.N() != 0 || g.M() != 0 {
-		t.Fatalf("empty graph has n=%d m=%d", g.N(), g.M())
-	}
-	if ok, _ := g.HasCycle(); ok {
-		t.Fatal("empty graph reported cyclic")
+	for _, g := range []*Digraph{FromEdges(0, nil), {}} {
+		if g.N() != 0 || g.M() != 0 {
+			t.Fatalf("empty graph has n=%d m=%d", g.N(), g.M())
+		}
+		if ok, _ := g.HasCycle(); ok {
+			t.Fatal("empty graph reported cyclic")
+		}
 	}
 }
 
-func TestAddEdgeGrowsGraph(t *testing.T) {
-	g := New(0)
-	g.AddEdge(3, 5)
+func TestFromEdgesPredecessors(t *testing.T) {
+	g := FromEdges(6, [][2]int{{3, 5}})
 	if g.N() != 6 {
 		t.Fatalf("N=%d, want 6", g.N())
 	}
@@ -31,48 +31,53 @@ func TestAddEdgeGrowsGraph(t *testing.T) {
 	}
 }
 
-func TestAddEdgeUnique(t *testing.T) {
-	g := New(2)
-	g.AddEdgeUnique(0, 1)
-	g.AddEdgeUnique(0, 1)
-	if g.M() != 1 {
-		t.Fatalf("M=%d, want 1", g.M())
-	}
-	g.AddEdge(0, 1)
-	if g.M() != 2 {
-		t.Fatalf("parallel AddEdge suppressed: M=%d", g.M())
+func TestFromEdgesDropsDuplicates(t *testing.T) {
+	g := FromEdges(2, [][2]int{{0, 1}, {0, 1}})
+	if g.M() != 1 || len(g.Pred(1)) != 1 {
+		t.Fatalf("M=%d pred(1)=%v, want one edge", g.M(), g.Pred(1))
 	}
 }
 
-// FromEdges builds exactly the graph that AddEdgeUnique builds edge by
-// edge — duplicates dropped, every row in insertion order — with each row
-// capped at its degree, so growing one row never touches its neighbour.
+// FromEdges builds exactly the graph that adding the edges one at a time,
+// skipping duplicates, builds: every successor row in insertion order,
+// every predecessor row holding the same sources (ascending), each row
+// capped at its degree. FromEdgesIn uses the front of its slab and hands
+// back the room the duplicates would have taken.
 func TestQuickFromEdgesMatchesAddEdgeUnique(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(48) // both sides of FromEdges' stack-counted size
+		n := 1 + rng.Intn(48)
 		edges := make([][2]int, rng.Intn(3*n))
 		for i := range edges {
 			edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
-		want := New(n)
+		succ, pred := make([][]int, n), make([][]int, n)
+		m := 0
 		for _, e := range edges {
-			want.AddEdgeUnique(e[0], e[1])
+			if !contains(succ[e[0]], e[1]) {
+				succ[e[0]] = append(succ[e[0]], e[1])
+				pred[e[1]] = append(pred[e[1]], e[0])
+				m++
+			}
 		}
-		got := FromEdges(n, edges)
-		if !reflect.DeepEqual(got, want) {
-			t.Logf("FromEdges(%d, %v) = %v, want %v", n, edges, got, want)
+		slab := make([]int, DigraphLen(n, len(edges))+3)
+		got, rest := FromEdgesIn(slab, n, edges)
+		if got.N() != n || got.M() != m || len(rest) != 3+2*(len(edges)-m) {
+			t.Logf("FromEdgesIn(%d, %v): n=%d m=%d rest=%d", n, edges, got.N(), got.M(), len(rest))
 			return false
 		}
 		for v := 0; v < n; v++ {
-			if cap(got.Succ(v)) != len(got.Succ(v)) || cap(got.Pred(v)) != len(got.Pred(v)) {
+			gs, gp := got.Succ(v), got.Pred(v)
+			if !reflect.DeepEqual(append([]int{}, gs...), append([]int{}, succ[v]...)) ||
+				!reflect.DeepEqual(append([]int{}, gp...), append([]int{}, Sorted(pred[v])...)) {
+				t.Logf("FromEdges(%d, %v): node %d succ %v pred %v, want %v %v", n, edges, v, gs, gp, succ[v], pred[v])
+				return false
+			}
+			if cap(gs) != len(gs) || cap(gp) != len(gp) {
 				return false
 			}
 		}
-		u, v := rng.Intn(n), rng.Intn(n)
-		got.AddEdge(u, v)
-		want.AddEdge(u, v)
-		return reflect.DeepEqual(got, want)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -80,11 +85,7 @@ func TestQuickFromEdgesMatchesAddEdgeUnique(t *testing.T) {
 }
 
 func TestHasCycleOnDAG(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
+	g := FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	if ok, _ := g.HasCycle(); ok {
 		t.Fatal("DAG reported cyclic")
 	}
@@ -102,12 +103,7 @@ func TestHasCycleOnDAG(t *testing.T) {
 }
 
 func TestHasCycleFindsWitness(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1) // cycle 1-2-3
-	g.AddEdge(3, 4)
+	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}})
 	ok, cyc := g.HasCycle()
 	if !ok {
 		t.Fatal("cycle not found")
@@ -123,8 +119,7 @@ func TestHasCycleFindsWitness(t *testing.T) {
 }
 
 func TestSelfLoopIsCycle(t *testing.T) {
-	g := New(1)
-	g.AddEdge(0, 0)
+	g := FromEdges(1, [][2]int{{0, 0}})
 	if ok, _ := g.HasCycle(); !ok {
 		t.Fatal("self loop not detected")
 	}
@@ -134,15 +129,8 @@ func TestSelfLoopIsCycle(t *testing.T) {
 }
 
 func TestSCCTwoComponents(t *testing.T) {
-	g := New(6)
 	// Component {0,1,2}, component {3,4}, singleton {5}.
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 3)
-	g.AddEdge(4, 5)
+	g := FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}, {4, 5}})
 	comp, n := g.SCC()
 	if n != 3 {
 		t.Fatalf("ncomp=%d, want 3", n)
@@ -169,12 +157,7 @@ func TestSCCTwoComponents(t *testing.T) {
 func TestSCCReverseTopoOrder(t *testing.T) {
 	// Tarjan emits components in reverse topological order of the
 	// condensation: a component appears before components that reach it.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
+	g := FromEdges(4, [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}})
 	comp, _ := g.SCC()
 	if comp[2] >= comp[0] {
 		t.Fatalf("sink component should have smaller id: %v", comp)
@@ -182,10 +165,7 @@ func TestSCCReverseTopoOrder(t *testing.T) {
 }
 
 func TestReachableFrom(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	r := g.ReachableFrom(0)
 	want := []bool{true, true, true, false, false}
 	for i := range want {
@@ -207,12 +187,7 @@ func TestReachableFrom(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	// 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, 3 -> 4.
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
+	g := FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}})
 	idom := g.Dominators(0)
 	if idom[3] != 0 {
 		t.Fatalf("idom[3]=%d, want 0 (join point)", idom[3])
@@ -232,9 +207,8 @@ func TestDominatorsDiamond(t *testing.T) {
 }
 
 func TestDominatorsUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
 	// 2 unreachable.
+	g := FromEdges(3, [][2]int{{0, 1}})
 	idom := g.Dominators(0)
 	if idom[2] != -1 {
 		t.Fatalf("unreachable node got idom %d", idom[2])
@@ -246,11 +220,7 @@ func TestDominatorsUnreachable(t *testing.T) {
 
 func TestDominatorsLoop(t *testing.T) {
 	// 0 -> 1 -> 2 -> 1 (loop), 2 -> 3.
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(2, 3)
+	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 1}, {2, 3}})
 	idom := g.Dominators(0)
 	if idom[1] != 0 || idom[2] != 1 || idom[3] != 2 {
 		t.Fatalf("idom=%v", idom)
@@ -258,32 +228,15 @@ func TestDominatorsLoop(t *testing.T) {
 }
 
 func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	r := g.Reverse()
 	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
 		t.Fatal("reverse wrong")
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 0)
-	if g.HasEdge(1, 0) {
-		t.Fatal("clone shares storage with original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone lost edge")
-	}
-}
-
 func TestTransitiveClosure(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}})
 	reach := g.TransitiveClosure()
 	if !reach[0][2] || reach[2][0] || !reach[3][3] {
 		t.Fatal("closure wrong")
@@ -292,15 +245,15 @@ func TestTransitiveClosure(t *testing.T) {
 
 // randomDAG builds a random DAG with edges only from lower to higher ids.
 func randomDAG(rng *rand.Rand, n int, p float64) *Digraph {
-	g := New(n)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func TestQuickDAGsAreAcyclic(t *testing.T) {
@@ -334,16 +287,16 @@ func TestQuickCycleDetectionAgreesWithSCC(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
-		g := New(n)
-		m := rng.Intn(3 * n)
+		edges := make([][2]int, rng.Intn(3*n))
 		selfLoop := false
-		for i := 0; i < m; i++ {
+		for i := range edges {
 			u, v := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(u, v)
+			edges[i] = [2]int{u, v}
 			if u == v {
 				selfLoop = true
 			}
 		}
+		g := FromEdges(n, edges)
 		hasCycle, _ := g.HasCycle()
 		comp, nc := g.SCC()
 		nontrivial := selfLoop
@@ -366,14 +319,15 @@ func TestQuickDominatorsSoundOnRandomFlowgraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(10)
-		g := New(n)
 		// Guarantee reachability skeleton then add noise.
+		var edges [][2]int
 		for v := 1; v < n; v++ {
-			g.AddEdgeUnique(rng.Intn(v), v)
+			edges = append(edges, [2]int{rng.Intn(v), v})
 		}
 		for i := 0; i < n; i++ {
-			g.AddEdgeUnique(rng.Intn(n), rng.Intn(n))
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
 		}
+		g := FromEdges(n, edges)
 		idom := g.Dominators(0)
 		for a := 1; a < n; a++ {
 			for b := 0; b < n; b++ {

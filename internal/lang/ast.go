@@ -285,6 +285,37 @@ func countRendezvous(ss []Stmt) int {
 	return n
 }
 
+// CountSyncEdges returns the number of sync edges the program's sync
+// graph will hold: per signal type, its sends times its accepts. It
+// predicts the graph's size without building it.
+func (p *Program) CountSyncEdges() int64 {
+	sends, accepts := map[Signal]int64{}, map[Signal]int64{}
+	var walk func(task string, ss []Stmt)
+	walk = func(task string, ss []Stmt) {
+		for _, s := range ss {
+			switch v := s.(type) {
+			case *Send:
+				sends[Signal{Task: v.Target, Msg: v.Msg}]++
+			case *Accept:
+				accepts[Signal{Task: task, Msg: v.Msg}]++
+			case *If:
+				walk(task, v.Then)
+				walk(task, v.Else)
+			case *Loop:
+				walk(task, v.Body)
+			}
+		}
+	}
+	for _, t := range p.Tasks {
+		walk(t.Name, t.Body)
+	}
+	var n int64
+	for sig, k := range sends {
+		n += k * accepts[sig]
+	}
+	return n
+}
+
 // CountStatements returns the total number of statements, counting
 // nested conditional and loop bodies.
 func (p *Program) CountStatements() int {

@@ -27,7 +27,6 @@
 package memo
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -79,8 +78,8 @@ type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	lru      entryNode // sentinel of the LRU ring: lru.next is the most recently used
+	items    map[string]*entryNode
 
 	// flights dedups concurrent builds per key. A flight ends when its
 	// build does (success, failure or panic), so a failed build is
@@ -93,10 +92,29 @@ type Cache struct {
 	builds    uint64
 }
 
+// entryNode is one cached entry and its place in the LRU ring: one
+// object per entry beside its key and value.
 type entryNode struct {
-	key  string
-	val  Entry
-	size int64
+	key        string
+	val        Entry
+	size       int64
+	prev, next *entryNode
+}
+
+// unlink removes n from the ring.
+func (n *entryNode) unlink() {
+	n.prev.next, n.next.prev = n.next, n.prev
+	n.prev, n.next = nil, nil
+}
+
+// toFront moves (or inserts) n to the front of c's ring.
+func (c *Cache) toFront(n *entryNode) {
+	if n.prev != nil {
+		n.unlink()
+	}
+	n.prev, n.next = &c.lru, c.lru.next
+	c.lru.next.prev = n
+	c.lru.next = n
 }
 
 // New returns a cache admitting at most maxBytes of artifact footprint
@@ -105,12 +123,13 @@ func New(maxBytes int64) *Cache {
 	if maxBytes < 1 {
 		maxBytes = 1
 	}
-	return &Cache{
+	c := &Cache{
 		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[string]*entryNode),
 		flights:  NewFlight[string, Entry](),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Get returns the cached entry for key, recording a hit or miss.
@@ -120,14 +139,14 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	n, ok := c.items[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entryNode).val, true
+	c.toFront(n)
+	return n.val, true
 }
 
 // Do returns the entry for key, building it at most once across
@@ -147,11 +166,11 @@ func (c *Cache) Do(ctx context.Context, key string, build func() (Entry, error))
 	}
 	val, _, err = c.flights.Do(ctx, key, func() (Entry, error) {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
+		if n, ok := c.items[key]; ok {
 			// The flight we missed ended between our lookup and this
 			// leadership, admitting its entry first: share it.
-			c.ll.MoveToFront(el)
-			v := el.Value.(*entryNode).val
+			c.toFront(n)
+			v := n.val
 			c.mu.Unlock()
 			return v, nil
 		}
@@ -186,18 +205,19 @@ func (c *Cache) put(key string, val Entry) {
 	if size < 1 {
 		size = 1
 	}
-	if el, ok := c.items[key]; ok {
-		n := el.Value.(*entryNode)
+	if n, ok := c.items[key]; ok {
 		c.bytes += size - n.size
 		n.val, n.size = val, size
-		c.ll.MoveToFront(el)
+		c.toFront(n)
 		c.evictOver()
 		return
 	}
 	if size > c.maxBytes {
 		return
 	}
-	c.items[key] = c.ll.PushFront(&entryNode{key: key, val: val, size: size})
+	n := &entryNode{key: key, val: val, size: size}
+	c.items[key] = n
+	c.toFront(n)
 	c.bytes += size
 	c.evictOver()
 }
@@ -205,10 +225,9 @@ func (c *Cache) put(key string, val Entry) {
 // evictOver drops least-recently-used entries until the budget holds.
 // Caller holds c.mu.
 func (c *Cache) evictOver() {
-	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
-		oldest := c.ll.Back()
-		n := oldest.Value.(*entryNode)
-		c.ll.Remove(oldest)
+	for c.bytes > c.maxBytes && len(c.items) > 0 {
+		n := c.lru.prev
+		n.unlink()
 		delete(c.items, n.key)
 		c.bytes -= n.size
 		c.evictions++
@@ -223,7 +242,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Entries:   c.ll.Len(),
+		Entries:   len(c.items),
 		Bytes:     c.bytes,
 		Hits:      c.hits,
 		Misses:    c.misses,
@@ -239,7 +258,7 @@ func (c *Cache) Len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // ErrLeaderPanicked is what followers get when their leader panicked.

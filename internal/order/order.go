@@ -52,8 +52,6 @@
 package order
 
 import (
-	"unsafe"
-
 	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/graph"
@@ -74,36 +72,50 @@ type Info struct {
 	// node reaches itself. Unlike the relations above it also holds on
 	// graphs with control cycles.
 	Reach bitset.Matrix
-	// CoAccept[r] lists same-type accept nodes for accept r (empty for
-	// sends, per the paper's COACCEPT vector).
-	CoAccept [][]int
+	// CoAccept.Row(r) lists same-type accept nodes for accept r (empty
+	// for sends, per the paper's COACCEPT vector).
+	CoAccept graph.Rows
 	// LoopFree reports whether the control subgraph was acyclic; when
 	// false, Precede, NoCohead and NotCoexec are all-false (conservative).
 	LoopFree bool
 }
 
-// Compute derives all ordering facts for g.
+// Compute derives all ordering facts for g, in one word slab for the
+// four matrices and one int slab for CoAccept.
 func Compute(g *sg.Graph) *Info {
+	info := &Info{}
+	Into(info, g, make([]uint64, Words(g)))
+	info.CoAccept = CoAcceptRows(g)
+	return info
+}
+
+// Words reports the uint64 words Into carves for g's four matrices.
+func Words(g *sg.Graph) int { return 4 * bitset.MatrixWords(g.N()) }
+
+// Into derives every ordering fact of g but CoAccept into info, carving
+// the four matrices from the front of words (sized by Words), and returns
+// the rest of words.
+func Into(info *Info, g *sg.Graph, words []uint64) []uint64 {
 	n := g.N()
-	info := &Info{G: g}
-	info.Precede = bitset.NewMatrix(n)
-	info.NoCohead = bitset.NewMatrix(n)
-	info.NotCoexec = bitset.NewMatrix(n)
-	info.CoAccept = coAcceptRows(g.Nodes) // loop-independent
+	*info = Info{G: g}
+	info.Precede, words = bitset.MatrixIn(words, n)
+	info.NoCohead, words = bitset.MatrixIn(words, n)
+	info.NotCoexec, words = bitset.MatrixIn(words, n)
+	info.Reach, words = bitset.MatrixIn(words, n)
 
 	topo, err := g.Control.Topo()
 	info.LoopFree = err == nil
-	info.Reach = reachability(g.Control, topo)
+	reachability(info.Reach, &g.Control, topo)
 	if !info.LoopFree {
-		return info // no ordering facts
+		return words // no ordering facts
 	}
 	reach := info.Reach
 	idom := g.Control.Dominators(g.B)
 
 	rendezvous := make([]int, 0, n)
-	for _, nd := range g.Nodes {
-		if nd.IsRendezvous() {
-			rendezvous = append(rendezvous, nd.ID)
+	for v := range g.Nodes {
+		if g.Nodes[v].IsRendezvous() {
+			rendezvous = append(rendezvous, v)
 		}
 	}
 
@@ -136,11 +148,11 @@ func Compute(g *sg.Graph) *Info {
 	type muPair struct{ r, s int }
 	var mu []muPair
 	for _, r := range rendezvous {
-		if len(g.Sync[r]) != 1 {
+		if len(g.Sync.Row(r)) != 1 {
 			continue
 		}
-		s := g.Sync[r][0]
-		if len(g.Sync[s]) == 1 && g.Sync[s][0] == r {
+		s := g.Sync.Row(r)[0]
+		if p := g.Sync.Row(s); len(p) == 1 && p[0] == r {
 			mu = append(mu, muPair{r, s})
 		}
 	}
@@ -174,7 +186,7 @@ func Compute(g *sg.Graph) *Info {
 	// precede t => r and t cannot co-head a deadlock. One pass over the
 	// finished Precede relation; conclusions never feed back.
 	for _, r := range rendezvous {
-		partners := g.Sync[r]
+		partners := g.Sync.Row(r)
 		if len(partners) == 0 {
 			continue
 		}
@@ -195,16 +207,15 @@ func Compute(g *sg.Graph) *Info {
 			}
 		}
 	}
-	return info
+	return words
 }
 
-// reachability returns the reflexive reachability matrix of g. Folding
-// each node's successor rows into its own row in reverse topological
-// order closes it in one pass; a cyclic graph (nil topo) is folded in
-// reverse id order until no row changes.
-func reachability(g *graph.Digraph, topo []int) bitset.Matrix {
+// reachability fills reach with the reflexive reachability matrix of g.
+// Folding each node's successor rows into its own row in reverse
+// topological order closes it in one pass; a cyclic graph (nil topo) is
+// folded in reverse id order until no row changes.
+func reachability(reach bitset.Matrix, g *graph.Digraph, topo []int) {
 	n := g.N()
-	reach := bitset.NewMatrix(n)
 	for v := 0; v < n; v++ {
 		reach.Set(v, v)
 	}
@@ -223,47 +234,34 @@ func reachability(g *graph.Digraph, topo []int) bitset.Matrix {
 		}
 		changed = changed && topo == nil
 	}
-	return reach
 }
 
-// coAcceptRows lists, for every accept node, the other accepts of its
-// signal type in ascending id order. A counting pass sizes one slab that
-// the rows are carved from.
-func coAcceptRows(nodes []*sg.Node) [][]int {
-	coAccept := func(r, s *sg.Node) bool {
-		return r.Kind == cfg.KindAccept && s.Kind == cfg.KindAccept && s.ID != r.ID && s.Sig == r.Sig
-	}
-	total := 0
-	for _, r := range nodes {
-		for _, s := range nodes {
-			if coAccept(r, s) {
+// CoAcceptRows returns the COACCEPT table in one slab: for every accept
+// node, the other accepts of its signal type in ascending id order. A
+// counting pass sizes the slab.
+func CoAcceptRows(g *sg.Graph) graph.Rows {
+	n, total := g.N(), 0
+	for r := range g.Nodes {
+		for s := range g.Nodes {
+			if coAccept(&g.Nodes[r], &g.Nodes[s]) {
 				total++
 			}
 		}
 	}
-	rows := make([][]int, len(nodes))
-	slab := make([]int, 0, total)
-	for _, r := range nodes {
-		start := len(slab)
-		for _, s := range nodes {
-			if coAccept(r, s) {
-				slab = append(slab, s.ID)
+	rows, _ := graph.RowsIn(make([]int, graph.RowsLen(n, total)), n, total)
+	for r := range g.Nodes {
+		for s := range g.Nodes {
+			if coAccept(&g.Nodes[r], &g.Nodes[s]) {
+				rows.Append(s)
 			}
 		}
-		if len(slab) > start {
-			rows[r.ID] = slab[start:len(slab):len(slab)]
-		}
+		rows.EndRow(r)
 	}
 	return rows
 }
 
-// SizeBytes approximates the Info's resident footprint, for byte-budgeted
-// caches that retain ordering facts across requests: the four bit
-// matrices dominate, plus the CoAccept adjacency at its capacity.
-func (i *Info) SizeBytes() int64 {
-	sz := int64(unsafe.Sizeof(*i))
-	sz += i.Precede.SizeBytes() + i.NoCohead.SizeBytes() + i.NotCoexec.SizeBytes() + i.Reach.SizeBytes()
-	return sz + graph.TableBytes(i.CoAccept)
+func coAccept(r, s *sg.Node) bool {
+	return r.Kind == cfg.KindAccept && s.Kind == cfg.KindAccept && s.ID != r.ID && s.Sig == r.Sig
 }
 
 // Sequenceable reports whether r and s are ordered (strongly, in either

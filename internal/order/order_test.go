@@ -152,15 +152,15 @@ begin
 end;
 `)
 	a, b, c := g.NodeByLabel("a"), g.NodeByLabel("b"), g.NodeByLabel("c")
-	if len(info.CoAccept[a]) != 1 || info.CoAccept[a][0] != b {
-		t.Fatalf("CoAccept[a]=%v", info.CoAccept[a])
+	if len(info.CoAccept.Row(a)) != 1 || info.CoAccept.Row(a)[0] != b {
+		t.Fatalf("CoAccept[a]=%v", info.CoAccept.Row(a))
 	}
-	if len(info.CoAccept[c]) != 0 {
+	if len(info.CoAccept.Row(c)) != 0 {
 		t.Fatal("different signal type in CoAccept")
 	}
 	// Sends have empty CoAccept.
 	for _, id := range g.TaskNodes(g.TaskIndex("t2")) {
-		if len(info.CoAccept[id]) != 0 {
+		if len(info.CoAccept.Row(id)) != 0 {
 			t.Fatal("send has CoAccept entries")
 		}
 	}

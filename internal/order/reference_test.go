@@ -93,11 +93,11 @@ func computeReference(g *sg.Graph) *refInfo {
 
 	mu := map[int]int{}
 	for _, r := range rendezvous {
-		if len(g.Sync[r]) != 1 {
+		if len(g.Sync.Row(r)) != 1 {
 			continue
 		}
-		s := g.Sync[r][0]
-		if len(g.Sync[s]) == 1 && g.Sync[s][0] == r {
+		s := g.Sync.Row(r)[0]
+		if len(g.Sync.Row(s)) == 1 && g.Sync.Row(s)[0] == r {
 			mu[r] = s
 		}
 	}
@@ -132,7 +132,7 @@ func computeReference(g *sg.Graph) *refInfo {
 	}
 
 	for _, r := range rendezvous {
-		partners := g.Sync[r]
+		partners := g.Sync.Row(r)
 		if len(partners) == 0 {
 			continue
 		}
@@ -179,12 +179,12 @@ func checkAgainstReference(t *testing.T, g *sg.Graph) {
 	diffRelation(t, "NoCohead", info.NoCohead, ref.NoCohead, n)
 	diffRelation(t, "NotCoexec", info.NotCoexec, ref.NotCoexec, n)
 	for r := 0; r < n; r++ {
-		if len(info.CoAccept[r]) != len(ref.CoAccept[r]) {
-			t.Fatalf("CoAccept[%d] = %v, reference %v", r, info.CoAccept[r], ref.CoAccept[r])
+		if len(info.CoAccept.Row(r)) != len(ref.CoAccept[r]) {
+			t.Fatalf("CoAccept[%d] = %v, reference %v", r, info.CoAccept.Row(r), ref.CoAccept[r])
 		}
 		for i := range ref.CoAccept[r] {
-			if info.CoAccept[r][i] != ref.CoAccept[r][i] {
-				t.Fatalf("CoAccept[%d] = %v, reference %v", r, info.CoAccept[r], ref.CoAccept[r])
+			if info.CoAccept.Row(r)[i] != ref.CoAccept[r][i] {
+				t.Fatalf("CoAccept[%d] = %v, reference %v", r, info.CoAccept.Row(r), ref.CoAccept[r])
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestQuickPrecedeSoundAgainstAllExecutions(t *testing.T) {
 		if len(violations) > 0 {
 			v := violations[0]
 			t.Logf("UNSOUND: Precede(%s, %s) but %s reached before %s finished in\n%s",
-				g.Nodes[v[0]], g.Nodes[v[1]], g.Nodes[v[1]], g.Nodes[v[0]], p)
+				&g.Nodes[v[0]], &g.Nodes[v[1]], &g.Nodes[v[1]], &g.Nodes[v[0]], p)
 			return false
 		}
 		return true
@@ -172,7 +172,7 @@ func TestQuickNoCoheadSoundOnDeadlockWaves(t *testing.T) {
 				for _, y := range set[i+1:] {
 					if info.NoCohead.Get(x, y) {
 						t.Logf("UNSOUND: NoCohead(%s, %s) on a real deadlock wave in\n%s",
-							g.Nodes[x], g.Nodes[y], p)
+							&g.Nodes[x], &g.Nodes[y], p)
 						return false
 					}
 				}

@@ -86,7 +86,7 @@ func FromProgram(p *lang.Program, loopLimit int) (*Build, error) {
 
 	// Rendezvous transitions.
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Sync[u] {
+		for _, v := range g.Sync.Row(u) {
 			if u > v {
 				continue
 			}

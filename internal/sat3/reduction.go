@@ -219,7 +219,7 @@ func selectionCycleExists(an *core.Analyzer, limit int, headOK func(a, b int) bo
 		from := tops[[2]int{i, j}]
 		to := tops[[2]int{(i + 1) % m, k}]
 		reach := g.Control.ReachableFrom(g.Control.Succ(from)...)
-		for _, s := range g.Sync[to] {
+		for _, s := range g.Sync.Row(to) {
 			if reach[s] && g.TaskOf[s] == g.TaskOf[from] {
 				return true
 			}

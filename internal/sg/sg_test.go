@@ -62,8 +62,8 @@ func TestBuildHandshake(t *testing.T) {
 
 func TestComplementary(t *testing.T) {
 	g := MustFromProgram(lang.MustParse(handshake))
-	r, u := g.Nodes[g.NodeByLabel("r")], g.Nodes[g.NodeByLabel("u")]
-	s := g.Nodes[g.NodeByLabel("s")]
+	r, u := &g.Nodes[g.NodeByLabel("r")], &g.Nodes[g.NodeByLabel("u")]
+	s := &g.Nodes[g.NodeByLabel("s")]
 	if !r.Complementary(u) || !u.Complementary(r) {
 		t.Fatal("complementary pair not recognized")
 	}

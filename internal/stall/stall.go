@@ -165,6 +165,9 @@ func (r *Report) Unbalanced() []SignalVerdict {
 func CheckAllLinearizations(p *lang.Program) *Report {
 	sigs := p.Signals()
 	rep := &Report{}
+	if len(sigs) > 0 {
+		rep.Signals = make([]SignalVerdict, 0, len(sigs))
+	}
 	for _, sig := range sigs {
 		v := SignalVerdict{Sig: sig, Constant: true}
 		for _, t := range p.Tasks {

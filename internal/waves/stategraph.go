@@ -173,7 +173,7 @@ func (s *StateGraph) DOT() string {
 	}
 	g := s.Graph
 	for _, e := range s.Edges {
-		u, v := g.Nodes[e.Fired.U], g.Nodes[e.Fired.V]
+		u, v := &g.Nodes[e.Fired.U], &g.Nodes[e.Fired.V]
 		fmt.Fprintf(&b, "  s%d -> s%d [label=%q];\n", e.From, e.To,
 			fmt.Sprintf("%s~%s", nodeLabel(u), nodeLabel(v)))
 	}

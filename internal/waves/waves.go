@@ -346,7 +346,7 @@ func classify(g *sg.Graph, w []int) Anomaly {
 			continue
 		}
 		stalled := true
-		for _, z := range g.Sync[r] {
+		for _, z := range g.Sync.Row(r) {
 			if future[z] {
 				stalled = false
 				break
@@ -383,7 +383,7 @@ func classify(g *sg.Graph, w []int) Anomaly {
 			if i == j {
 				continue
 			}
-			for _, z := range g.Sync[r] {
+			for _, z := range g.Sync.Row(r) {
 				if strict[z] {
 					adj[i][j] = true
 					break
@@ -456,7 +456,7 @@ func VerifyTheorem1(g *sg.Graph, a Anomaly) error {
 				}
 				strict := g.Control.ReachableFrom(g.Control.Succ(s)...)
 				coupled := false
-				for _, z := range g.Sync[r] {
+				for _, z := range g.Sync.Row(r) {
 					if strict[z] {
 						coupled = true
 						break
@@ -472,7 +472,7 @@ func VerifyTheorem1(g *sg.Graph, a Anomaly) error {
 	}
 	for _, r := range live {
 		if !bad[r] {
-			return fmt.Errorf("waves: node %s on anomalous wave is neither stalled, deadlocked, nor transitively coupled to an anomaly", g.Nodes[r])
+			return fmt.Errorf("waves: node %s on anomalous wave is neither stalled, deadlocked, nor transitively coupled to an anomaly", &g.Nodes[r])
 		}
 	}
 	return nil

@@ -7,7 +7,8 @@
 // family of the stage cache:
 //
 //	src:<digest>              parse + inline + Lemma-1 unroll artifacts
-//	an:<digest>:f<fifo>       sync graph (post-FIFO) + CLG + ordering tables
+//	an:<digest>:f<fifo>       the analyzer: sync graph (post-FIFO), CLG,
+//	                          ordering and hypothesis tables
 //	vd:<digest>:f<fifo>:<alg> one detector verdict
 //	st:<digest>               stall balance (FIFO-independent: it reads the
 //	                          inlined program, never the sync graph)
@@ -96,6 +97,9 @@ type srcEntry struct {
 	// srcLen is the source text's length: parsed identifiers are
 	// substrings of it, so the entry keeps the whole text alive.
 	srcLen int
+	// syncEdges is the unrolled program's predicted sync-edge count, set
+	// once the build is done (0 while it runs).
+	syncEdges int64
 }
 
 func (e *srcEntry) SizeBytes() int64 {
@@ -110,8 +114,10 @@ func (e *srcEntry) SizeBytes() int64 {
 }
 
 // checkLimits applies l to the entry's actual sizes: the task count, the
-// inlined program's rendezvous count and, once the Lemma 1 unroll has
-// run, the unrolled count.
+// inlined program's rendezvous count, once the Lemma 1 unroll has run
+// the unrolled count, and once the build is done the sync-edge count the
+// sync graph would hold, so a dense program is refused before that graph
+// exists.
 func (e *srcEntry) checkLimits(l Limits) error {
 	if err := checkLimit("tasks", l.MaxTasks, len(e.prog.Tasks)); err != nil {
 		return err
@@ -119,25 +125,20 @@ func (e *srcEntry) checkLimits(l Limits) error {
 	if err := checkLimit("rendezvous nodes", l.MaxNodes, e.inlined.CountRendezvous()); err != nil {
 		return err
 	}
-	if e.unrolled == e.inlined {
-		return nil
+	if e.unrolled != e.inlined {
+		if err := checkLimit("unrolled rendezvous nodes", l.MaxUnrolledNodes, e.unrolled.CountRendezvous()); err != nil {
+			return err
+		}
 	}
-	return checkLimit("unrolled rendezvous nodes", l.MaxUnrolledNodes, e.unrolled.CountRendezvous())
+	return checkLimit("sync edges", l.MaxSyncEdges, clampInt(e.syncEdges))
 }
 
-// graphEntry is the mid-pipeline artifact: the (post-FIFO) sync graph and
-// the analyzer holding its CLG, ordering matrices and hypothesis tables.
-type graphEntry struct {
-	graph       *sg.Graph
-	fifoRemoved int
-	analyzer    *core.Analyzer
-}
+// The an: entry is the *core.Analyzer itself: its block holds its own
+// copy of the (post-FIFO) sync graph, the CLG and the ordering facts, and
+// its SizeBytes counts its slabs. The graph records the edges FIFO
+// removed.
 
-func (e *graphEntry) SizeBytes() int64 {
-	return e.graph.SizeBytes() + e.analyzer.SizeBytes() + 64
-}
-
-// verdictEntry caches one detector verdict.
+// verdictEntry caches one detector verdict, its witnesses in one slab.
 type verdictEntry struct{ v Verdict }
 
 func (e *verdictEntry) SizeBytes() int64 { return 96 + witnessBytes(e.v.Witnesses) }
@@ -147,6 +148,27 @@ type enumEntry struct{ v core.EnumerationVerdict }
 
 func (e *enumEntry) SizeBytes() int64 { return 128 + witnessBytes(e.v.Witnesses) }
 
+// packWitnesses copies a witness list into one table and one slab,
+// keeping nil lists and nil witnesses nil. Only a verdict the cache
+// keeps is packed.
+func packWitnesses(ws [][]int) [][]int {
+	if len(ws) == 0 {
+		return ws
+	}
+	n := 0
+	for _, w := range ws {
+		n += len(w)
+	}
+	out, slab := make([][]int, len(ws)), make([]int, 0, n)
+	for i, w := range ws {
+		if w != nil {
+			slab = append(slab, w...)
+			out[i] = slab[len(slab)-len(w) : len(slab) : len(slab)]
+		}
+	}
+	return out
+}
+
 func witnessBytes(ws [][]int) int64 {
 	sz := int64(len(ws)) * 24
 	for _, w := range ws {
@@ -155,10 +177,10 @@ func witnessBytes(ws [][]int) int64 {
 	return sz
 }
 
-// stallEntry caches the Lemma 3/4 balance report.
-type stallEntry struct{ r *StallReport }
+// stallEntry caches the Lemma 3/4 balance report, held in the entry.
+type stallEntry struct{ r StallReport }
 
-func (e *stallEntry) SizeBytes() int64 { return 64 + int64(len(e.r.Signals))*80 }
+func (e *stallEntry) SizeBytes() int64 { return 64 + int64(cap(e.r.Signals))*80 }
 
 // c4Entry caches the constraint-4 certificate.
 type c4Entry struct{ free, conclusive bool }
@@ -287,17 +309,20 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 		if err := e.checkLimits(opt.Limits); err != nil {
 			return nil, err
 		}
-		if e.hasLoops = cfg.HasLoops(e.inlined); !e.hasLoops {
-			return e, nil
-		}
-		return e, stage("unroll", func(sp *Span) (err error) {
-			// UnrollBounded predicts the 2^depth growth of Lemma 1.
-			if e.unrolled, err = cfg.UnrollBounded(e.inlined, opt.Limits.MaxUnrolledNodes); err == nil && sp != nil {
-				sp.Set("rendezvous_before", int64(e.inlined.CountRendezvous()))
-				sp.Set("rendezvous_after", int64(e.unrolled.CountRendezvous()))
+		if e.hasLoops = cfg.HasLoops(e.inlined); e.hasLoops {
+			if err := stage("unroll", func(sp *Span) (err error) {
+				// UnrollBounded predicts the 2^depth growth of Lemma 1.
+				if e.unrolled, err = cfg.UnrollBounded(e.inlined, opt.Limits.MaxUnrolledNodes); err == nil && sp != nil {
+					sp.Set("rendezvous_before", int64(e.inlined.CountRendezvous()))
+					sp.Set("rendezvous_after", int64(e.unrolled.CountRendezvous()))
+				}
+				return err
+			}); err != nil {
+				return nil, err
 			}
-			return err
-		})
+		}
+		e.syncEdges = e.unrolled.CountSyncEdges()
+		return e, nil
 	})
 	if err != nil {
 		return nil, err
@@ -323,45 +348,48 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 
 	// --- Mid pipeline: sync graph + FIFO + CLG/ordering tables.
 	gv, err := group("an:"+dk+fk, "clg", func() (memo.Entry, error) {
-		e := &graphEntry{}
+		var g *sg.Graph
 		err := stage("sync-graph", func(sp *Span) (err error) {
-			if e.graph, err = sg.FromProgram(fe.unrolled); err == nil && sp != nil {
-				sp.Set("tasks", int64(len(e.graph.Tasks)))
-				sp.Set("rendezvous_nodes", int64(e.graph.NumRendezvous()))
-				sp.Set("sync_edges", int64(e.graph.NumSyncEdges()))
-				sp.Set("control_edges", int64(e.graph.NumControlEdges()))
+			if g, err = sg.FromProgram(fe.unrolled); err == nil && sp != nil {
+				sp.Set("tasks", int64(len(g.Tasks)))
+				sp.Set("rendezvous_nodes", int64(g.NumRendezvous()))
+				sp.Set("sync_edges", int64(g.NumSyncEdges()))
+				sp.Set("control_edges", int64(g.NumControlEdges()))
 			}
 			return err
 		})
 		if err == nil && fifo {
 			err = stage("fifo", func(sp *Span) error {
-				e.fifoRemoved = e.graph.RemoveSyncEdges(order.Compute(e.graph).InfeasibleSyncPairs())
-				sp.Set("removed_sync_edges", int64(e.fifoRemoved))
+				sp.Set("removed_sync_edges", int64(g.RemoveSyncEdges(order.Compute(g).InfeasibleSyncPairs())))
 				return nil
 			})
 		}
+		var a *core.Analyzer
 		if err == nil {
 			err = stage("clg", func(sp *Span) error {
-				e.analyzer = core.NewAnalyzerTraced(e.graph, sp)
+				a = core.NewAnalyzerTraced(g, sp)
 				return nil
 			})
 		}
-		return e, err
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ge := gv.(*graphEntry)
+	an := gv.(*core.Analyzer)
 
 	rep := &Report{
 		Program:     fe.prog,
 		Unrolled:    fe.unrolled,
-		Graph:       ge.graph,
-		FIFORemoved: ge.fifoRemoved,
+		Graph:       an.SG,
+		FIFORemoved: an.SG.RemovedSyncEdges(),
 		Trace:       root,
 		// A Session copy, not the shared Analyzer: advanced callers may
 		// set its knobs without racing other requests on the same digest.
-		Analyzer: ge.analyzer.Session(opt.Parallelism, nil),
+		Analyzer: an.Session(opt.Parallelism, nil),
 	}
 	degrade := func(reason string) {
 		rep.Degraded = true
@@ -377,7 +405,10 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 		v, err := group("vd:"+dk+fk+":"+strconv.Itoa(int(algo)), name, func() (memo.Entry, error) {
 			e := &verdictEntry{}
 			return e, stage(name, func(sp *Span) error {
-				e.v = ge.analyzer.Session(opt.Parallelism, sp).Run(algo)
+				e.v = an.Session(opt.Parallelism, sp).Run(algo)
+				if mc != nil {
+					e.v.Witnesses = packWitnesses(e.v.Witnesses)
+				}
 				return nil
 			})
 		})
@@ -406,7 +437,7 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 		v, err := group("c4:"+dk+fk, "constraint4", func() (memo.Entry, error) {
 			e := &c4Entry{}
 			return e, stage("constraint4", func(sp *Span) error {
-				e.free, e.conclusive = ge.analyzer.Session(opt.Parallelism, sp).Constraint4Certify(0)
+				e.free, e.conclusive = an.Session(opt.Parallelism, sp).Constraint4Certify(0)
 				return nil
 			})
 		})
@@ -424,7 +455,7 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 	sv, err := group("st:"+dk, "stall", func() (memo.Entry, error) {
 		e := &stallEntry{}
 		return e, stage("stall", func(sp *Span) error {
-			e.r = stall.CheckAllLinearizations(fe.inlined)
+			e.r = *stall.CheckAllLinearizations(fe.inlined)
 			if sp != nil {
 				sp.Set("unbalanced_signals", int64(len(e.r.Unbalanced())))
 			}
@@ -434,7 +465,7 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	rep.Stall = sv.(*stallEntry).r
+	rep.Stall = &sv.(*stallEntry).r
 
 	// --- Enumeration, keyed on the resolved budget: the verdict is a
 	// deterministic function of (graph, limit), including the
@@ -450,7 +481,10 @@ func analyze(ctx context.Context, p *Program, src string, opt Options) (*Report,
 			v, err := group("en:"+dk+fk+":"+strconv.Itoa(lim), "enumerate", func() (memo.Entry, error) {
 				e := &enumEntry{}
 				return e, stage("enumerate", func(sp *Span) error {
-					e.v = ge.analyzer.Session(opt.Parallelism, sp).Enumerate(lim)
+					e.v = an.Session(opt.Parallelism, sp).Enumerate(lim)
+					if mc != nil {
+						e.v.Witnesses = packWitnesses(e.v.Witnesses)
+					}
 					return nil
 				})
 			})

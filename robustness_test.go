@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +42,68 @@ func TestLimitsRejectUnrollBomb(t *testing.T) {
 	if _, err := Analyze(workload.NestedLoops(6, 2), Options{Limits: DefaultLimits()}); err != nil {
 		t.Fatalf("in-budget nest rejected: %v", err)
 	}
+}
+
+// TestLimitsRefuseDenseSyncGraph checks MaxSyncEdges at both ends. The
+// default refuses a program whose sync graph would hold 1,048,576 edges
+// (one task sending s.m 1,024 times, another accepting it as often) from
+// the unrolled program's counts, before the sync graph is built. It
+// admits every corpus and golden-family program, whose predicted counts
+// equal their built graphs' and stay three orders of magnitude below it.
+func TestLimitsRefuseDenseSyncGraph(t *testing.T) {
+	const n = 1024
+	var b strings.Builder
+	b.WriteString("task s is begin\n")
+	b.WriteString(strings.Repeat("  r.m;\n", n))
+	b.WriteString("end;\ntask r is begin\n")
+	b.WriteString(strings.Repeat("  accept m;\n", n))
+	b.WriteString("end;\n")
+	tr := NewTracer()
+	_, err := AnalyzeSource(b.String(), Options{Limits: DefaultLimits(), Tracer: tr, StageCache: NewStageCache(8 << 20)})
+	var re *ResourceError
+	if !errors.As(err, &re) || re.Resource != "sync edges" || re.Actual != n*n {
+		t.Fatalf("err=%v, want a sync edges ResourceError with actual %d", err, n*n)
+	}
+	tr.Root().Walk(func(_ int, sp *Span) {
+		if sp.Name == "sync-graph" {
+			t.Fatal("the sync graph was built before the refusal")
+		}
+	})
+
+	var progs []*Program
+	files, err := filepath.Glob("testdata/*.ada")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v %v", files, err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, MustParse(string(src)))
+	}
+	for fi, fam := range goldenFamilies {
+		rng := rand.New(rand.NewSource(int64(fi)))
+		for i := 0; i < 20; i++ {
+			progs = append(progs, fam.gen(rng))
+		}
+	}
+	most := int64(0)
+	for _, p := range progs {
+		rep, err := Analyze(p, Options{Limits: DefaultLimits()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := rep.Unrolled.CountSyncEdges()
+		if got := int64(rep.Graph.NumSyncEdges()); got != count {
+			t.Fatalf("predicted %d sync edges, the graph holds %d:\n%s", count, got, p)
+		}
+		most = max(most, count)
+	}
+	if most*1000 > int64(DefaultLimits().MaxSyncEdges) {
+		t.Fatalf("largest corpus count %d is within 1000x of the default limit %d", most, DefaultLimits().MaxSyncEdges)
+	}
+	t.Logf("largest corpus count %d, default limit %d", most, DefaultLimits().MaxSyncEdges)
 }
 
 func TestLimitsRejectTasksAndNodes(t *testing.T) {
@@ -262,9 +327,9 @@ func TestParseLimitsSpellings(t *testing.T) {
 		{"off", Limits{}, true},
 		{"none", Limits{}, true},
 		{"default", DefaultLimits(), true},
-		{"tasks=9", Limits{MaxTasks: 9, MaxNodes: base.MaxNodes, MaxUnrolledNodes: base.MaxUnrolledNodes}, true},
-		{"tasks=1,nodes=2,unrolled=3", Limits{1, 2, 3}, true},
-		{" tasks=4 , unrolled=5 ", Limits{4, base.MaxNodes, 5}, true},
+		{"tasks=9", Limits{MaxTasks: 9, MaxNodes: base.MaxNodes, MaxUnrolledNodes: base.MaxUnrolledNodes, MaxSyncEdges: base.MaxSyncEdges}, true},
+		{"tasks=1,nodes=2,unrolled=3,syncedges=4", Limits{1, 2, 3, 4}, true},
+		{" tasks=4 , unrolled=5 ", Limits{4, base.MaxNodes, 5, base.MaxSyncEdges}, true},
 		{"bogus=1", Limits{}, false},
 		{"tasks", Limits{}, false},
 		{"tasks=x", Limits{}, false},
@@ -280,7 +345,7 @@ func TestParseLimitsSpellings(t *testing.T) {
 		}
 	}
 	// String round-trips through ParseLimits.
-	l := Limits{7, 8, 9}
+	l := Limits{7, 8, 9, 10}
 	back, err := ParseLimits(l.String(), Limits{})
 	if err != nil || back != l {
 		t.Fatalf("round-trip: %+v err=%v", back, err)

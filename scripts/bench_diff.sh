@@ -6,7 +6,9 @@
 # working tree. It then runs the two builds alternately, round by round,
 # and compares each pin's ns/op within each round. Exits 1 if any pin's
 # median per-round ratio (change over base) exceeds 1 + THRESHOLD/100
-# (default 15), and 2 on a usage, build or benchmark error.
+# (default 15), and 2 on a usage, build or benchmark error. It also
+# prints each pin's median B/op and allocs/op per side (-benchmem); those
+# are reported, not gated.
 #
 # Usage:
 #   scripts/bench_diff.sh [rev]          rev defaults to HEAD^ (make bench-diff)
@@ -96,12 +98,12 @@ done
 results="$work/results"
 : >"$results"
 # run <side> <tree> <round>: runs the pin in $tag, $dir and $name once and
-# appends one line per result row, "<row> <side> <round> <ns/op>", to
-# $results.
+# appends one line per result row, "<row> <side> <round> <ns/op> <B/op>
+# <allocs/op>", to $results.
 run() {
     local out
     out="$(cd "$2/$dir" && "$work/$1.$tag.test" -test.run '^$' -test.bench "^$name\$" \
-        -test.benchtime "$BENCHTIME" -test.cpu "$CPU" 2>&1)" || {
+        -test.benchtime "$BENCHTIME" -test.cpu "$CPU" -test.benchmem 2>&1)" || {
         printf 'bench_diff: %s side of %s failed:\n%s\n' "$1" "$name" "$out" >&2
         exit 2
     }
@@ -109,7 +111,13 @@ run() {
         $1 ~ /^Benchmark/ {
             name = $1
             sub(/-[0-9]+$/, "", name)
-            for (i = 2; i <= NF; i++) if ($i == "ns/op") print name, side, round, $(i - 1)
+            ns = bytes = allocs = ""
+            for (i = 2; i <= NF; i++) {
+                if ($i == "ns/op") ns = $(i - 1)
+                if ($i == "B/op") bytes = $(i - 1)
+                if ($i == "allocs/op") allocs = $(i - 1)
+            }
+            if (ns != "") print name, side, round, ns, bytes, allocs
         }' <<<"$out" >>"$results"
 }
 
@@ -150,6 +158,14 @@ awk -v limit="$LIMIT" -v rounds="$ROUNDS" '
     function summary(a, n) {
         return sprintf("%.0f [%.0f, %.0f]", q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75))
     }
+    # mem(row, side, f): the median over rounds of memory column f of one
+    # side (5 = B/op, 6 = allocs/op), "-" when the benchmark reported none.
+    function mem(row, side, f,    k, n, a) {
+        n = 0
+        for (k = 1; k <= rounds; k++)
+            if ((row, side, k, f) in m) a[++n] = m[row, side, k, f]
+        return n ? sprintf("%.0f", q(a, n, 0.5)) : "-"
+    }
     # report(row): one pinned result row, gated on its median ratio.
     function report(row,    k, nb, nc, nr, slower, b, c, r, ratio, status) {
         nb = nc = nr = slower = 0
@@ -179,10 +195,15 @@ awk -v limit="$LIMIT" -v rounds="$ROUNDS" '
         printf "  %-9s %s\n", status, row
         printf "            base %s ns/op, change %s ns/op (median [q1, q3])\n", summary(b, nb), summary(c, nc)
         printf "            change slower in %d of %d rounds, median ratio %.3f\n", slower, nr, ratio
+        printf "            base %s B/op %s allocs/op, change %s B/op %s allocs/op (medians; not gated)\n", \
+            mem(row, "base", 5), mem(row, "base", 6), mem(row, "change", 5), mem(row, "change", 6)
     }
     !($1 in seen) { seen[$1]; rows[++n] = $1 }
-    # Each side keeps its best run of the round.
+    # Each side keeps its best run of the round, and its smallest memory
+    # figures.
     !(($1, $2, $3) in v) || $4 + 0 < v[$1, $2, $3] { v[$1, $2, $3] = $4 + 0 }
+    $5 != "" && (!(($1, $2, $3, 5) in m) || $5 + 0 < m[$1, $2, $3, 5]) { m[$1, $2, $3, 5] = $5 + 0 }
+    $6 != "" && (!(($1, $2, $3, 6) in m) || $6 + 0 < m[$1, $2, $3, 6]) { m[$1, $2, $3, 6] = $6 + 0 }
     END {
         isort(rows, n)
         for (i = 1; i <= n; i++) report(rows[i])
