@@ -1,8 +1,9 @@
 // Command siwad-gateway fronts a fleet of siwad-server replicas: it
 // routes each program to the replica that owns its digest on a
 // consistent-hash ring (so replica caches hit like a single node's),
-// health-checks the fleet, wraps every backend in a circuit breaker,
-// and scatter-gathers batch requests across the ring.
+// health-checks the fleet, takes a backend out of routing after
+// consecutive transport failures until a probe passes again, and
+// scatter-gathers batch requests across the ring.
 //
 // Endpoints:
 //
@@ -12,7 +13,7 @@
 //	GET  /v1/fleet/status   merged fleet snapshot (scrapes every replica)
 //	GET  /healthz           gateway liveness
 //	GET  /readyz            503 until at least one backend is routable
-//	GET  /metrics           per-backend counters, breaker states, ring shares
+//	GET  /metrics           per-backend counters, routing flags, ring shares
 //	GET  /debug/traces      retained trace summaries (newest first)
 //	GET  /debug/traces/ID   one trace, replica spans stitched under gateway spans
 //
@@ -22,11 +23,10 @@
 //	-addr HOST:PORT        listen address (empty = :8090)
 //	-backends LIST         comma-separated replica base URLs (required),
 //	                       e.g. http://a:8080,http://b:8080
-//	-health-interval D     active /healthz + /readyz probe period (0 = 2s)
-//	-breaker-threshold N   consecutive transport failures that open a
-//	                       backend's breaker (0 = 3)
-//	-breaker-cooldown D    open-state cooldown before a half-open probe
-//	                       (0 = 2s)
+//	-health-interval D     active /healthz + /readyz probe period; only a
+//	                       passing probe lets a backend back in (0 = 2s)
+//	-failure-threshold N   consecutive transport failures that take a
+//	                       backend out of routing (0 = 3)
 //	-retries N             extra attempts after an upstream 429/503
 //	                       (0 = 2, -1 = off)
 //	-retry-budget RATIO    retry tokens earned per upstream success; retries
@@ -125,8 +125,7 @@ func config(args []string) (cluster.Config, bool) {
 	fs.StringVar(&c.Addr, "addr", "", "listen address (empty = :8090)")
 	backends := fs.String("backends", "", "comma-separated replica base URLs (required)")
 	fs.DurationVar(&c.HealthInterval, "health-interval", 0, "health probe period (0 = 2s)")
-	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 0, "transport failures that open a breaker (0 = 3)")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown (0 = 2s)")
+	fs.IntVar(&c.FailureThreshold, "failure-threshold", 0, "consecutive transport failures that take a backend out (0 = 3)")
 	fs.IntVar(&c.MaxRetries, "retries", 0, "extra attempts after upstream 429/503 (0 = 2, -1 = off)")
 	fs.Float64Var(&c.RetryBudgetRatio, "retry-budget", 0, "retry tokens earned per upstream success (0 = 0.1, -1 = off)")
 	fs.IntVar(&c.RetryBudgetBurst, "retry-burst", 0, "retry-token bucket capacity (0 = 10)")

@@ -15,11 +15,6 @@ import (
 	"repro/internal/service"
 )
 
-// marshalBatchRequest is a seam for tests: sub-batch marshalling cannot
-// fail through the public API (every wire field is a plain type), so the
-// regression test for the marshal-error cleanup path swaps it out.
-var marshalBatchRequest = json.Marshal
-
 // batchItem is one program riding through the scatter-gather machinery,
 // pinned to its slot in the client's request so the merged response
 // preserves input order no matter how the fleet reshuffles the work.
@@ -96,10 +91,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // scatter shards items across the fleet by digest and runs every shard
 // concurrently, each shard streaming to its owner in BatchChunk-sized
-// sub-batches. pass counts re-sharding rounds: when a shard's owner
-// becomes ineligible mid-stream (breaker opened, probe marked it down),
-// the remaining items re-enter scatter and land on each digest's next
-// ring candidate. The pass budget (one per backend) guarantees
+// sub-batches. pass counts re-sharding rounds: when a shard's owner is
+// taken out mid-stream (by transport failures or a failed probe), the
+// remaining items re-enter scatter and land on each digest's next ring
+// candidate. The pass budget (one per backend) guarantees
 // termination when the whole fleet is dying; items that exhaust it come
 // back "unavailable". Every item's slot in results is written exactly
 // once, and no two writers share a slot, so the merge is lock-free.
@@ -159,7 +154,7 @@ func (g *Gateway) scatter(ctx context.Context, meta batchMeta, items []batchItem
 					}
 					continue
 				}
-				if !b.up.Load() || !b.breaker.Acquire() {
+				if !b.eligible() {
 					// The owner died between chunks: re-shard everything
 					// not yet sent, including this chunk. Each item moves
 					// to its own next ring candidate.
@@ -206,26 +201,21 @@ func sendSpanned(sp *obs.Span, send func() (*upstream, error)) (*upstream, error
 // sendChunk forwards one sub-batch to its owner and merges the replica's
 // results back into the client's slots. Transport failure marks exactly
 // this chunk's items "unavailable" — they were in flight to a dead
-// replica — and feeds the breaker so later chunks reroute. A whole-chunk
-// 429/503 (the replica is shedding) is retried via re-scatter after
-// honoring Retry-After; other upstream error bodies are propagated into
-// the affected items verbatim, never rewrapped.
+// replica — and counts against the backend, so later chunks reroute once
+// it is taken out. A whole-chunk 429/503 (the replica is shedding) is
+// retried via re-scatter after honoring Retry-After; other upstream error
+// bodies are propagated into the affected items verbatim, never rewrapped.
 func (g *Gateway) sendChunk(ctx context.Context, b *backend, meta batchMeta, chunk []batchItem, results []service.BatchResult, pass int) {
 	progs := make([]service.BatchProgram, len(chunk))
 	for i, it := range chunk {
 		progs[i] = it.prog
 	}
-	body, err := marshalBatchRequest(service.BatchRequest{
+	body, err := json.Marshal(service.BatchRequest{
 		Programs:  progs,
 		Options:   meta.options,
 		TimeoutMs: meta.timeoutMs,
 	})
 	if err != nil {
-		// scatter acquired the probe slot for this chunk and send() is
-		// what resolves it on every path; bailing out before send must
-		// release the slot itself, or a half-open breaker stays stuck
-		// forever with no probe ever reaching the backend.
-		b.breaker.Release()
 		for _, it := range chunk {
 			results[it.idx] = service.BatchResult{
 				ID:        it.prog.ID,

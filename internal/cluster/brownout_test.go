@@ -30,12 +30,12 @@ func hostOf(t *testing.T, url string) string {
 
 // TestGatewayChaosBrownout is the overload-resilience acceptance test:
 // one of three replicas browns out — every byte toward it stalls 800ms
-// at the injected network layer, the failure mode breakers cannot see
-// (the replica is healthy, the wire is slow) — while clients call with a
-// 2s end-to-end deadline budget. Hedging must bound the tail: every
-// request for a digest the browned replica owns completes via a
-// speculative attempt to the next ring candidate in a small fraction of
-// the brownout latency. And no replica may do work the deadline already
+// at the injected network layer, a failure that counting transport
+// failures cannot see (the replica is healthy, the wire is slow) — while
+// clients call with a 2s end-to-end deadline budget. Hedging must bound
+// the tail: every request for a digest the browned replica owns completes
+// via a speculative attempt to the next ring candidate in a small fraction
+// of the brownout latency. And no replica may do work the deadline already
 // orphaned: the browned replica serves zero analyses (its cancelled
 // primaries never get past the stalled wire), and every span retained on
 // the survivors starts and ends inside the budget window.

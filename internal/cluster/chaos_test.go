@@ -42,15 +42,15 @@ func newLocalListener(t *testing.T) net.Listener {
 // replicas dies mid-batch (every connection aborts, like a crashed
 // process). The batch must still come back 200 and in input order; ONLY
 // the items that were in flight to the corpse carry the taxonomy code
-// "unavailable"; the breaker opens and subsequent chunks — and follow-up
-// singles — reroute to ring successors without touching the dead replica.
+// "unavailable"; the transport failure takes the backend out, and
+// subsequent chunks — and follow-up singles — reroute to ring successors
+// without touching the dead replica.
 func TestGatewayChaosKillMidBatch(t *testing.T) {
 	const n, chunk = 50, 4
 	f := newFleet(t, 3, service.Config{})
 	g, gts := newTestGateway(t, f.urls, Config{
 		BatchChunk:       chunk,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour, // stays open for the rest of the test
+		FailureThreshold: 1, // no prober runs, so it stays out for the rest of the test
 	})
 
 	progs := make([]service.BatchProgram, n)
@@ -106,7 +106,8 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 		}
 	}
 	// Exactly one full chunk was in flight when the kill fired; everything
-	// sharded to the corpse afterwards rerouted via the open breaker.
+	// sharded to the corpse afterwards rerouted around the backend it took
+	// out.
 	if len(unavailable) != chunk {
 		t.Fatalf("unavailable items=%v (%d), want exactly the in-flight chunk of %d",
 			unavailable, len(unavailable), chunk)
@@ -116,8 +117,8 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 			t.Fatalf("item %d marked unavailable but belongs to live backend %d", i, ownerOf[i])
 		}
 	}
-	if got := g.BreakerState(killed); got != BreakerOpen {
-		t.Fatalf("killed backend's breaker is %v, want open", got)
+	if g.BackendUp(killed) {
+		t.Fatal("killed backend still takes traffic after a transport failure")
 	}
 	if got := g.Metrics().ItemsUnavailable.Load(); got != uint64(chunk) {
 		t.Fatalf("items_unavailable metric=%d, want %d", got, chunk)
@@ -174,12 +175,13 @@ func TestGatewayChaosKillMidBatch(t *testing.T) {
 }
 
 // TestGatewayForwardFaultHook arms the gateway.forward injection point:
-// an injected transport error must surface as "unavailable", feed the
-// breaker's failure count, and clear cleanly once the fault is removed.
+// an injected transport error must surface as "unavailable", count toward
+// the backend's failure threshold, and clear cleanly once the fault is
+// removed.
 func TestGatewayForwardFaultHook(t *testing.T) {
 	defer fault.Reset()
 	f := newFleet(t, 1, service.Config{})
-	g, gts := newTestGateway(t, f.urls, Config{BreakerThreshold: 3})
+	g, gts := newTestGateway(t, f.urls, Config{FailureThreshold: 3})
 
 	fault.Set("gateway.forward", fault.Mode{Kind: fault.KindError})
 	resp, data := postJSON(t, gts.URL+"/v1/analyze", service.AnalyzeRequest{Source: workload.Ring(3).String()})
@@ -195,8 +197,8 @@ func TestGatewayForwardFaultHook(t *testing.T) {
 	if got := g.Metrics().backend(f.urls[0]).Failures.Load(); got != 1 {
 		t.Fatalf("backend failures=%d, want 1", got)
 	}
-	if got := g.BreakerState(0); got != BreakerClosed {
-		t.Fatalf("one failure under threshold 3 opened the breaker: %v", got)
+	if !g.BackendUp(0) {
+		t.Fatal("one failure under threshold 3 took the backend out")
 	}
 
 	fault.Reset()
@@ -225,10 +227,10 @@ func TestGatewayShedReroutesAcrossFleet(t *testing.T) {
 	if got := g.Metrics().Retries.Load(); got == 0 {
 		t.Fatal("no retry recorded")
 	}
-	// Shedding is an HTTP answer, not a transport failure: the breaker
-	// must stay closed and the replica must stay "up".
-	if got := g.BreakerState(owner); got != BreakerClosed {
-		t.Fatalf("shedding opened the breaker: %v", got)
+	// Shedding is an HTTP answer, not a transport failure: the replica
+	// must stay "up", before and after a probe.
+	if !g.BackendUp(owner) {
+		t.Fatal("shedding took the backend out")
 	}
 	g.CheckNow(context.Background())
 	if !g.BackendUp(owner) {

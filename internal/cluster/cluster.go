@@ -5,10 +5,11 @@
 // Routing is by program digest on a consistent-hash ring (ring.go): the
 // detectors are pure functions of program text, so sending each program
 // to the replica that already analyzed it makes the fleet's aggregate
-// cache hit rate match a single node's. Replica failure is handled by
-// active /healthz + /readyz probing (health.go) plus per-backend circuit
-// breakers over transport outcomes (breaker.go); a dead backend's keys
-// move to each key's ring successor and everything else stays put.
+// cache hit rate match a single node's. Each backend has one routing
+// flag: the active /healthz + /readyz prober (health.go) sets it, and
+// FailureThreshold consecutive transport failures clear it until the next
+// passing probe; a dead backend's keys move to each key's ring successor
+// and everything else stays put.
 //
 // The proxy path (proxy.go) answers an exact repeat of a single analyze
 // body from its own report cache once the owning replica has served that
@@ -51,12 +52,9 @@ type Config struct {
 	Backends []string
 	// HealthInterval is the active probe period. 0 means 2s.
 	HealthInterval time.Duration
-	// BreakerThreshold is how many consecutive transport failures open a
-	// backend's circuit breaker. 0 means 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// allowing a half-open probe. 0 means 2s.
-	BreakerCooldown time.Duration
+	// FailureThreshold is how many consecutive transport failures take a
+	// backend out of routing until a health probe passes again. 0 means 3.
+	FailureThreshold int
 	// MaxRetries bounds additional attempts after an upstream 429/503 on
 	// the analyze proxy path (total attempts = MaxRetries+1). Negative
 	// disables retries. 0 means 2.
@@ -130,11 +128,8 @@ func (c Config) Normalize() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
+	if c.FailureThreshold <= 0 {
+		c.FailureThreshold = 3
 	}
 	if c.MaxRetries == 0 {
 		// Negative stays negative (retries reads it as 0), keeping
@@ -182,21 +177,26 @@ func (c Config) Normalize() Config {
 // retries is the number of extra attempts MaxRetries allows.
 func (c Config) retries() int { return max(c.MaxRetries, 0) }
 
-// backend is one replica's runtime state: admin identity, the latest
-// active-probe verdict, and the circuit breaker over transport outcomes.
+// backend is one replica's runtime state: admin identity, its one
+// routing flag, and the transport failures counted against it.
 type backend struct {
-	name    string // base URL, also the ring point seed
-	breaker *Breaker
-	retry   *retryBudget // per-backend retry tokens; nil when disabled
-	up      atomic.Bool  // latest /healthz + /readyz verdict; starts true
+	name  string       // base URL, also the ring point seed
+	retry *retryBudget // per-backend retry tokens; nil when disabled
+	// up says whether the backend takes traffic; it starts true. A failed
+	// probe or FailureThreshold consecutive transport failures store
+	// false, and only a passing probe stores true.
+	up atomic.Bool
+	// failures counts consecutive transport failures. Any HTTP answer
+	// resets it; a passing probe leaves it as it is, so one more failure
+	// before an answer takes a re-admitted backend out again.
+	failures atomic.Int64
 	// instance is the replica instance id the latest successful probe
 	// read from /readyz; nil until one has.
 	instance atomic.Pointer[string]
 }
 
-// eligible reports whether new work may be routed here right now, without
-// consuming the breaker's half-open probe slot.
-func (b *backend) eligible() bool { return b.up.Load() && b.breaker.Ready() }
+// eligible reports whether new work may be routed here right now.
+func (b *backend) eligible() bool { return b.up.Load() }
 
 // instanceID is the replica instance id last probed at this URL, "" before
 // any probe has reported one.
@@ -255,10 +255,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.retryBudget = newRetryBudget(cfg.RetryBudgetBurst, cfg.RetryBudgetRatio)
 	}
 	for _, name := range cfg.Backends {
-		b := &backend{
-			name:    name,
-			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		}
+		b := &backend{name: name}
 		if cfg.RetryBudgetRatio > 0 {
 			b.retry = newRetryBudget(cfg.RetryBudgetBurst, cfg.RetryBudgetRatio)
 		}
@@ -304,10 +301,7 @@ func (g *Gateway) Metrics() *Metrics { return g.metrics }
 // predict which backend owns a digest.
 func (g *Gateway) Ring() *Ring { return g.ring }
 
-// BreakerState reports backend i's circuit-breaker state.
-func (g *Gateway) BreakerState(i int) BreakerState { return g.backends[i].breaker.State() }
-
-// BackendUp reports backend i's latest active-probe verdict.
+// BackendUp reports whether backend i takes traffic.
 func (g *Gateway) BackendUp(i int) bool { return g.backends[i].up.Load() }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -28,11 +28,10 @@ type StageQuantiles struct {
 // FleetBackend is one replica's merged snapshot inside /v1/fleet/status.
 type FleetBackend struct {
 	Backend string `json:"backend"`
-	// Up is the gateway's latest active-probe verdict; Breaker the
-	// circuit-breaker state. Both are gateway-side facts, present even
+	// Up says whether the gateway routes to this replica (probes and
+	// transport failures set it). It is a gateway-side fact, present even
 	// when the scrape below failed.
-	Up      bool   `json:"up"`
-	Breaker string `json:"breaker"`
+	Up bool `json:"up"`
 	// RingShare is the fraction of the hash keyspace this replica owns.
 	RingShare float64 `json:"ringShare"`
 	// Error reports a failed /metrics or /readyz scrape; the fields below
@@ -62,8 +61,8 @@ type FleetStatus struct {
 }
 
 // handleFleetStatus scrapes every backend's /metrics and /readyz in
-// parallel and merges them with the gateway's own view (probe verdicts,
-// breaker states, ring ownership) into one JSON snapshot.
+// parallel and merges them with the gateway's own view (routing flags,
+// ring ownership) into one JSON snapshot.
 func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	own := g.ring.Ownership()
 	out := FleetStatus{Backends: make([]FleetBackend, len(g.backends)), Total: len(g.backends)}
@@ -72,7 +71,6 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 		out.Backends[i] = FleetBackend{
 			Backend:   b.name,
 			Up:        b.up.Load(),
-			Breaker:   b.breaker.State().String(),
 			RingShare: own[i],
 		}
 		if b.eligible() {
@@ -93,7 +91,8 @@ func (g *Gateway) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 const debugScrapeTimeout = 2 * time.Second
 
 // scrapeBackend fills fb from one replica's /readyz and /metrics. Debug
-// traffic: bounded by debugScrapeTimeout, never fed to the breaker.
+// traffic: bounded by debugScrapeTimeout, never counted against the
+// backend.
 func (g *Gateway) scrapeBackend(ctx context.Context, fb *FleetBackend, b *backend) {
 	cctx, cancel := context.WithTimeout(ctx, debugScrapeTimeout)
 	defer cancel()
@@ -124,9 +123,9 @@ func (g *Gateway) scrapeBackend(ctx context.Context, fb *FleetBackend, b *backen
 	fb.Stages = stageQuantiles(samples)
 }
 
-// scrapeGet performs one plain GET without touching the breaker: scrape
-// failures already surface in the response, and a debug endpoint must
-// never push a loaded replica toward an open circuit.
+// scrapeGet performs one plain GET that counts nothing against the
+// backend: scrape failures already surface in the response, and a debug
+// endpoint must never push a loaded replica out of routing.
 func (g *Gateway) scrapeGet(ctx context.Context, url string) (*upstream, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

@@ -49,7 +49,7 @@ func (g *Gateway) probe(ctx context.Context, b *backend) (string, bool) {
 }
 
 // CheckNow probes every backend once, in parallel, and updates their
-// up/down state and instance ids. Tests call it directly for
+// routing flags and instance ids. Tests call it directly for
 // deterministic health transitions; RunChecker calls it on a timer.
 func (g *Gateway) CheckNow(ctx context.Context) {
 	done := make(chan struct{}, len(g.backends))
@@ -62,20 +62,36 @@ func (g *Gateway) CheckNow(ctx context.Context) {
 				// never looks up while its predecessor's id is current.
 				b.instance.Store(&instance)
 			}
-			was := b.up.Swap(up)
-			if was != up && g.cfg.Logger != nil {
-				level := slog.LevelWarn
-				if up {
-					level = slog.LevelInfo
-				}
-				g.cfg.Logger.LogAttrs(ctx, level, "backend health changed",
-					slog.String("backend", b.name), slog.Bool("up", up))
-			}
+			g.setUp(ctx, b, up, "probe")
 		}(b)
 	}
 	for range g.backends {
 		<-done
 	}
+}
+
+// transportFailed counts one failure to reach b at all; the
+// FailureThreshold-th in a row takes b out of routing until a probe
+// passes.
+func (g *Gateway) transportFailed(ctx context.Context, b *backend) {
+	g.metrics.backend(b.name).Failures.Add(1)
+	if b.failures.Add(1) >= int64(g.cfg.FailureThreshold) {
+		g.setUp(ctx, b, false, "transport")
+	}
+}
+
+// setUp stores b's routing flag and logs a change of it, naming what
+// caused it.
+func (g *Gateway) setUp(ctx context.Context, b *backend, up bool, reason string) {
+	if b.up.Swap(up) == up || g.cfg.Logger == nil {
+		return
+	}
+	level := slog.LevelWarn
+	if up {
+		level = slog.LevelInfo
+	}
+	g.cfg.Logger.LogAttrs(ctx, level, "backend health changed",
+		slog.String("backend", b.name), slog.Bool("up", up), slog.String("reason", reason))
 }
 
 // RunChecker probes immediately and then every HealthInterval until ctx

@@ -56,21 +56,17 @@ func (g *Gateway) hedgeDelay(primary *backend) time.Duration {
 }
 
 // pickHedge chooses and charges the hedge target: the first non-primary
-// candidate whose breaker slot and retry tokens are both available. nil
-// means no hedge this time.
+// candidate that is still eligible and whose retry tokens are available.
+// nil means no hedge this time.
 func (g *Gateway) pickHedge(ctx context.Context, elig []*backend, primary *backend) *backend {
 	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) < service.MinAttemptBudget {
 		return nil // the deadline will kill the hedge before it helps
 	}
 	for _, b := range elig {
-		if b == primary {
-			continue
-		}
-		if !b.breaker.Acquire() {
+		if b == primary || !b.eligible() {
 			continue
 		}
 		if !g.trySpendRetry(b) {
-			b.breaker.Release()
 			return nil
 		}
 		return b
@@ -122,10 +118,6 @@ func (r *attemptResult) usable() bool {
 // the edge answers 500 internal and counts it once, as when unhedged.
 func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path string, body []byte, reqID string, root *obs.Span) (*upstream, error) {
 	primary := elig[0]
-	pname := attemptSpanName(primary, 0)
-	if !primary.breaker.Acquire() {
-		return nil, errProbeLost
-	}
 	results := make(chan attemptResult, 2) // buffered: a loser's late send never blocks
 	// Every received result passes through seen; a panic among them
 	// overrides whatever is returned.
@@ -143,7 +135,7 @@ func (g *Gateway) hedgedAttempt(ctx context.Context, elig []*backend, path strin
 	}()
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
-	psp := root.StartChild(pname)
+	psp := root.StartChild("route")
 	psp.SetAttr("backend", primary.name)
 	psp.Set("attempt", 0)
 	go g.sendAttempt(pctx, 0, primary, path, body, reqID, psp, results)

@@ -13,7 +13,7 @@ import (
 type BackendMetrics struct {
 	Name     string
 	Requests atomic.Uint64 // upstream requests attempted (probes excluded)
-	Failures atomic.Uint64 // transport-level failures (fed the breaker)
+	Failures atomic.Uint64 // transport-level failures (counted toward FailureThreshold)
 	Latency  *obs.Histogram
 }
 
@@ -77,8 +77,7 @@ var (
 	famReportEntries        = obs.Family{Name: "siwa_gateway_report_cache_entries", Help: "report cache current entries", Type: "gauge"}
 	famBackendRequests      = obs.Family{Name: "siwa_gateway_backend_requests_total", Help: "upstream requests per backend", Type: "counter", Labels: []string{"backend"}}
 	famBackendFailures      = obs.Family{Name: "siwa_gateway_backend_failures_total", Help: "transport-level failures per backend", Type: "counter", Labels: []string{"backend"}}
-	famBackendUp            = obs.Family{Name: "siwa_gateway_backend_up", Help: "latest active health probe verdict (1 up, 0 down)", Type: "gauge", Labels: []string{"backend"}}
-	famBreakerState         = obs.Family{Name: "siwa_gateway_breaker_state", Help: "circuit breaker state per backend (0 closed, 1 open, 2 half-open)", Type: "gauge", Labels: []string{"backend"}}
+	famBackendUp            = obs.Family{Name: "siwa_gateway_backend_up", Help: "whether the backend takes traffic (1 up; 0 after a failed probe or consecutive transport failures, until a probe passes)", Type: "gauge", Labels: []string{"backend"}}
 	famRingOwnership        = obs.Family{Name: "siwa_gateway_ring_ownership_millionths", Help: "fraction of the hash keyspace owned, in millionths", Type: "gauge", Labels: []string{"backend"}}
 	famBackendSeconds       = obs.Family{Name: "siwa_gateway_backend_request_seconds", Help: "upstream request wall time by backend", Type: "histogram", Labels: []string{"backend"}}
 )
@@ -130,10 +129,6 @@ func (m *Metrics) WriteTo(w io.Writer, g *Gateway) {
 			up = 1
 		}
 		famBackendUp.Sample(w, up, b.name)
-	}
-	famBreakerState.Head(w)
-	for _, b := range g.backends {
-		famBreakerState.Sample(w, int(b.breaker.State()), b.name)
 	}
 	famRingOwnership.Head(w)
 	own := g.ring.Ownership()

@@ -85,7 +85,7 @@ func readAllSized(r io.Reader, sizeHint int64) ([]byte, error) {
 }
 
 // unavailableError reports that a backend could not be reached at the
-// transport level; the breaker has already been fed.
+// transport level; send has already counted the failure.
 type unavailableError struct {
 	backend string
 	err     error
@@ -98,14 +98,14 @@ func (e *unavailableError) Error() string {
 // errNoBackend means routing found no eligible backend at all.
 var errNoBackend = errors.New("no healthy backend available")
 
-// send performs one upstream request and resolves the backend's breaker
-// slot on every path: any HTTP response (whatever the status) proves the
-// replica reachable (Success); a transport error counts toward opening
-// the circuit (Fail); a send abandoned by the caller's own context is
-// released without judgment (Release), and so is one that panics, before
-// the panic goes on. The fault point "gateway.forward" fires before the
-// network touch, so chaos tests can slow or sever the proxy path without
-// real packet loss.
+// send performs one upstream request and judges the backend by it: any
+// HTTP response (whatever the status) proves the replica reachable and
+// resets its failure count; a transport error counts toward taking it out
+// of routing (transportFailed). A send abandoned by the caller's own
+// context, or one that panics, says nothing about the backend and counts
+// nothing. The fault point "gateway.forward" fires before the network
+// touch, so chaos tests can slow or sever the proxy path without real
+// packet loss.
 //
 // sp names the span covering this call: when the request is traced, the
 // W3C traceparent header carries (trace id, sp's span id) upstream, so
@@ -116,17 +116,8 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	bm := g.metrics.backend(b.name)
 	bm.Requests.Add(1)
 	start := time.Now()
-	defer func() {
-		// A panic proves nothing about the backend either, but a half-open
-		// probe slot it kept would refuse every later send for good.
-		if rec := recover(); rec != nil {
-			b.breaker.Release()
-			panic(rec)
-		}
-	}()
 	if err := fault.Inject("gateway.forward"); err != nil {
-		bm.Failures.Add(1)
-		b.breaker.Fail()
+		g.transportFailed(ctx, b)
 		return nil, err
 	}
 	var rd io.Reader
@@ -135,9 +126,7 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	}
 	req, err := http.NewRequestWithContext(ctx, method, b.name+path, rd)
 	if err != nil {
-		// Config bug: the backend was never contacted, so this proves
-		// nothing about reachability either way — return the slot.
-		b.breaker.Release()
+		// Config bug: the backend was never contacted.
 		return nil, err
 	}
 	if body != nil {
@@ -165,30 +154,21 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, path string, bod
 	// answer carries the old id and the report cache treats it as stale.
 	instance := b.instanceID()
 	resp, err := g.client.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = readAllSized(resp.Body, resp.ContentLength)
+		resp.Body.Close()
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			// The client went away or the deadline passed mid-send; that
-			// says nothing about the backend. Return any half-open probe
-			// slot Acquire consumed, or the breaker would be stuck.
-			b.breaker.Release()
+			// says nothing about the backend.
 			return nil, ctx.Err()
 		}
-		bm.Failures.Add(1)
-		b.breaker.Fail()
+		g.transportFailed(ctx, b)
 		return nil, err
 	}
-	data, err := readAllSized(resp.Body, resp.ContentLength)
-	resp.Body.Close()
-	if err != nil {
-		if ctx.Err() != nil {
-			b.breaker.Release()
-			return nil, ctx.Err()
-		}
-		bm.Failures.Add(1)
-		b.breaker.Fail()
-		return nil, err
-	}
-	b.breaker.Success()
+	b.failures.Store(0)
 	bm.Latency.Observe(time.Since(start))
 	if !retryable(resp.StatusCode) {
 		// A useful answer funds future retries; a shed or timeout does not
@@ -218,15 +198,22 @@ const (
 )
 
 // sleepRetry waits out the backoff before a retry attempt: the delay is
-// drawn uniformly from [0, retryBackoff<<attempt] (full jitter — a
-// synchronized herd of clients whose replica just recovered must not all
-// retry in the same instant and shed it again), and an upstream
-// Retry-After hint overrides it, clamped to retryAfterCap.
+// drawn uniformly from [0, min(retryBackoff<<attempt, retryAfterCap)]
+// (full jitter — a synchronized herd of clients whose replica just
+// recovered must not all retry in the same instant and shed it again),
+// and an upstream Retry-After hint overrides it, clamped to
+// retryAfterCap.
 // Returns false if ctx expired first, or if the time left before ctx's
 // deadline cannot cover the sleep plus another attempt — waiting out a
 // backoff the deadline will kill anyway is pure waste.
 func (g *Gateway) sleepRetry(ctx context.Context, attempt int, retryAfter string) bool {
-	d := time.Duration(rand.Int64N(int64(retryBackoff<<attempt) + 1))
+	// The ceiling doubles per attempt up to retryAfterCap, by a loop and
+	// not a shift, which would overflow on a late attempt.
+	ceil := retryBackoff
+	for i := 0; i < attempt && ceil < retryAfterCap; i++ {
+		ceil *= 2
+	}
+	d := time.Duration(rand.Int64N(int64(min(ceil, retryAfterCap)) + 1))
 	if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
 		d = min(time.Duration(secs)*time.Second, retryAfterCap)
 	}
@@ -246,29 +233,11 @@ func (g *Gateway) sleepRetry(ctx context.Context, attempt int, retryAfter string
 	}
 }
 
-// errProbeLost is the internal sentinel for an attempt that never started
-// because the backend's half-open probe slot was already taken; the
-// routing loop moves on to the next candidate.
-var errProbeLost = errors.New("half-open probe slot taken")
-
 // retryable reports whether an upstream status is worth another attempt:
 // 429 (shed) and 503 (timeout/unavailable) are load conditions that a
 // different replica may not share.
 func retryable(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
-}
-
-// attemptSpanName names an attempt span by what it is: the first routing
-// decision, a retry after upstream pushback, or the single half-open
-// probe that tests a recovering backend.
-func attemptSpanName(b *backend, attempt int) string {
-	if b.breaker.State() != BreakerClosed {
-		return "breaker-probe"
-	}
-	if attempt > 0 {
-		return "retry"
-	}
-	return "route"
 }
 
 // finishAttemptSpan closes an attempt span with its outcome.
@@ -281,15 +250,15 @@ func finishAttemptSpan(sp *obs.Span, res *upstream, err error) {
 	sp.Set("status", int64(res.status))
 }
 
-// attemptOne performs one routing attempt against b: acquire the breaker
-// slot, trace it, send. Errors are mapped for the routing loop:
-// errProbeLost means "never started, try the next candidate"; a context
+// attemptOne performs one routing attempt against b: trace it, send. Its
+// span is named "route" for the first routing decision and "retry" after
+// upstream pushback. Errors are mapped for the routing loop: a context
 // error means the client is gone; anything else is a transport-level
 // unavailableError.
 func (g *Gateway) attemptOne(ctx context.Context, b *backend, attempt int, path string, body []byte, reqID string, root *obs.Span) (*upstream, error) {
-	name := attemptSpanName(b, attempt)
-	if !b.breaker.Acquire() {
-		return nil, errProbeLost
+	name := "route"
+	if attempt > 0 {
+		name = "retry"
 	}
 	sp := root.StartChild(name)
 	sp.SetAttr("backend", b.name)
@@ -313,10 +282,11 @@ func (g *Gateway) attemptOne(ctx context.Context, b *backend, attempt int, path 
 // by them; when retries run out (or the budget is exhausted) the last
 // upstream response is relayed verbatim. A transport failure is NOT
 // retried — the items in flight to a dying replica surface as
-// "unavailable" immediately, the breaker opens after the threshold, and
-// subsequent requests route around the corpse. Single analyzes on a
-// hedging-enabled gateway race the first attempt against one speculative
-// attempt to the next ring candidate (hedge.go).
+// "unavailable" immediately, the threshold-th takes the backend out, and
+// subsequent requests route around the corpse. Each attempt re-checks its
+// target, so a retry skips a backend taken out since the request started.
+// Single analyzes on a hedging-enabled gateway race the first attempt
+// against one speculative attempt to the next ring candidate (hedge.go).
 func (g *Gateway) forward(ctx context.Context, d memo.Digest, path string, body []byte, reqID string) (*upstream, error) {
 	elig := make([]*backend, 0, len(g.backends))
 	for _, ci := range g.ring.Candidates(d) {
@@ -332,6 +302,9 @@ func (g *Gateway) forward(ctx context.Context, d memo.Digest, path string, body 
 	maxRetries := g.cfg.retries()
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		b := elig[attempt%len(elig)]
+		if !b.eligible() {
+			continue // taken out since the request started; try the next candidate
+		}
 		var res *upstream
 		var err error
 		if attempt == 0 && g.hedgeEnabled(path, elig) {
@@ -340,9 +313,6 @@ func (g *Gateway) forward(ctx context.Context, d memo.Digest, path string, body 
 			res, err = g.attemptOne(ctx, b, attempt, path, body, reqID, root)
 		}
 		if err != nil {
-			if errors.Is(err, errProbeLost) {
-				continue // lost the half-open probe slot; try the next candidate
-			}
 			return nil, err
 		}
 		if !retryable(res.status) {
@@ -504,7 +474,7 @@ func (g *Gateway) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // wins and transport failures just try the next.
 func (g *Gateway) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.backends {
-		if !b.eligible() || !b.breaker.Acquire() {
+		if !b.eligible() {
 			continue
 		}
 		res, err := g.send(r.Context(), b, http.MethodGet, "/v1/algorithms", nil, service.RequestID(r.Context()), nil)

@@ -35,11 +35,9 @@ type reportEntry struct {
 	instance string
 }
 
-// SizeBytes charges the report, the key and a fixed overhead for the
-// entry's bookkeeping.
-func (e *reportEntry) SizeBytes() int64 {
-	return int64(len(e.report)+sha256.Size) + 128
-}
+// SizeBytes charges the report; the cache adds the key and its own
+// bookkeeping.
+func (e *reportEntry) SizeBytes() int64 { return int64(len(e.report)) }
 
 // fresh reports whether the replica process that produced the entry still
 // answers at its URL: the backend is up, and its latest probe reported

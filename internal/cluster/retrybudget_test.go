@@ -182,3 +182,20 @@ func TestSleepRetryRespectsDeadlineBudget(t *testing.T) {
 		t.Fatal("sleepRetry failed with no deadline pressure")
 	}
 }
+
+// TestSleepRetryLateAttempts: the backoff ceiling stops doubling at
+// retryAfterCap, so a late attempt (a gateway run with many retries and no
+// budget) draws a bounded delay instead of shifting retryBackoff past the
+// int64 range, where the draw panicked and the client got a 500 for what
+// should have been the last upstream 429.
+func TestSleepRetryLateAttempts(t *testing.T) {
+	f := newFleet(t, 1, service.Config{})
+	g, _ := newTestGateway(t, f.urls, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for attempt := 0; attempt < 64; attempt++ {
+		if g.sleepRetry(ctx, attempt, "") {
+			t.Fatalf("attempt %d: sleepRetry waited on a cancelled context", attempt)
+		}
+	}
+}

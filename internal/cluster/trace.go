@@ -72,7 +72,7 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 
 // fetchBackendTraces collects every replica's retained records for one
 // trace id. Debug traffic: short per-backend timeout, down backends are
-// skipped, failures are ignored, and the breakers are never fed.
+// skipped, and failures are ignored, never counted against a backend.
 func (g *Gateway) fetchBackendTraces(ctx context.Context, id string) []*obs.ExportedTrace {
 	var (
 		mu  sync.Mutex

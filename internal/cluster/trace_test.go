@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -121,11 +122,22 @@ func TestFleetTraceE2E(t *testing.T) {
 // replica's request span — still one trace id fleet-wide.
 func TestFleetBatchChunkSpans(t *testing.T) {
 	f := newFleet(t, 2, service.Config{})
-	_, gts := newTestGateway(t, f.urls, Config{BatchChunk: 2})
+	g, gts := newTestGateway(t, f.urls, Config{BatchChunk: 2})
 
-	progs := make([]service.BatchProgram, 8)
-	for i := range progs {
-		progs[i] = service.BatchProgram{ID: string(rune('a' + i)), Source: workload.Ring(i + 2).String()}
+	// Four programs owned by each backend: the ring's placement follows
+	// the replicas' ports, so consecutive programs alone may all land on
+	// one of them.
+	var progs []service.BatchProgram
+	owned := make([]int, 2)
+	for n := 2; len(progs) < 8 && n < 200; n++ {
+		src := workload.Ring(n).String()
+		if o := g.Ring().Candidates(memo.SourceDigest(src))[0]; owned[o] < 4 {
+			owned[o]++
+			progs = append(progs, service.BatchProgram{ID: string(rune('a' + len(progs))), Source: src})
+		}
+	}
+	if len(progs) < 8 {
+		t.Fatalf("owned=%v: too few sample programs per backend", owned)
 	}
 	resp, data := postJSON(t, gts.URL+"/v1/analyze/batch", service.BatchRequest{Programs: progs})
 	if resp.StatusCode != http.StatusOK {
@@ -291,7 +303,7 @@ func TestGatewayRetrySpans(t *testing.T) {
 }
 
 // TestFleetStatus: the aggregation endpoint merges gateway-side facts
-// (probe verdict, breaker, ring share) with replica-scraped telemetry
+// (routing flag, ring share) with replica-scraped telemetry
 // (readiness, cache hit rate, queue gauges, stage quantiles).
 func TestFleetStatus(t *testing.T) {
 	f := newFleet(t, 2, service.Config{})
@@ -326,7 +338,7 @@ func TestFleetStatus(t *testing.T) {
 		if b.Error != "" {
 			t.Fatalf("scrape error for %s: %s", b.Backend, b.Error)
 		}
-		if !b.Up || !b.Ready || b.Breaker != "closed" {
+		if !b.Up || !b.Ready {
 			t.Fatalf("backend %+v", b)
 		}
 		if b.Workers <= 0 {

@@ -95,33 +95,16 @@ func TestWaitlockFixtures(t *testing.T) {
 	checkFixture(t, "waitlock", []*Analyzer{WaitlockAnalyzer})
 }
 
-// TestPairupFixtures covers the acceptance gate for the PR-5 bug
-// history: the breaker probe-slot leak shape must be detected.
+// TestPairupFixtures covers pooled-buffer and span leaks. Neither leak
+// this repo shipped can be written any more: memo.Flight ends its flights
+// in a defer, and a gateway backend has no slot to hand back, only a
+// routing flag that sends read.
 func TestPairupFixtures(t *testing.T) {
 	checkFixture(t, "pairup", []*Analyzer{PairupAnalyzer})
 }
 
 func TestCtxflowFixtures(t *testing.T) {
 	checkFixture(t, "ctxflow", []*Analyzer{CtxflowAnalyzer})
-}
-
-// TestPairupDetectsHistoricalBugShapes pins the acceptance criterion
-// explicitly by function name, independent of the want comments: the
-// breaker shape must produce a pairup diagnostic. (The other historical
-// shape, an abandoned single-flight leadership, cannot be written any
-// more: memo.Flight ends its flights in a defer, and the memo and
-// gateway tests pin that under panics, which pairup never modelled.)
-func TestPairupDetectsHistoricalBugShapes(t *testing.T) {
-	res := runFixture(t, "pairup", []*Analyzer{PairupAnalyzer})
-	var breakerLeak bool
-	for _, d := range res.Unsuppressed() {
-		if strings.Contains(d.Message, "breaker probe slot") {
-			breakerLeak = true
-		}
-	}
-	if !breakerLeak {
-		t.Error("pairup did not flag the PR-5 breaker probe-slot leak shape")
-	}
 }
 
 // TestIgnoreMechanics: a well-formed directive suppresses exactly its
@@ -210,14 +193,14 @@ func moduleRoot(t *testing.T) string {
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Analyzer: "pairup",
-		Message:  "breaker probe slot acquired at line 3 is not released on this path",
-		Hint:     "resolve the slot",
+		Message:  "span acquired at line 3 is not released on this path",
+		Hint:     "end the span",
 	}
 	d.Pos.Filename = "x.go"
 	d.Pos.Line = 9
 	d.Pos.Column = 2
 	got := d.String()
-	want := "x.go:9:2: [pairup] breaker probe slot acquired at line 3 is not released on this path (fix: resolve the slot)"
+	want := "x.go:9:2: [pairup] span acquired at line 3 is not released on this path (fix: end the span)"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

@@ -7,25 +7,22 @@ import (
 )
 
 // PairupAnalyzer is the paper's resource-leak anomaly: an acquire whose
-// release some path never reaches. The configured pairs are this repo's
-// real bug history — the circuit breaker's half-open probe slot
-// (Acquire/Release|Success|Fail, a leak that shipped once), pooled
-// buffers (Get/Put), and span lifecycles (Start|StartChild/End).
-// Single-flight leadership needs no pair: memo.Flight ends every flight
-// in a defer, by construction.
+// release some path never reaches. The configured pairs are pooled
+// buffers (Get/Put) and span lifecycles (Start|StartChild/End). The two
+// leaks this repo shipped need no pair any more, because neither can be
+// written: memo.Flight ends every flight in a defer, and the gateway has
+// no slot to hand back (a backend's routing flag is only read by sends).
 //
 // The pass is flow-sensitive and intraprocedural: it walks each function
 // body tracking live resources through branches, reports any return (or
 // fall-through) a live resource can reach unreleased, and stops tracking
 // a resource that escapes — returned, stored, or passed to another
-// function, where ownership transfers (that is also why the real
-// attemptOne/send split stays quiet: the backend is handed to send, which
-// resolves the slot on every path). Releases inside deferred or spawned
-// closures count: `defer sp.End()` and span-ending goroutines are the
-// idiomatic shapes here.
+// function, where ownership transfers. Releases inside deferred or
+// spawned closures count: `defer sp.End()` and span-ending goroutines are
+// the idiomatic shapes here.
 var PairupAnalyzer = &Analyzer{
 	Name: "pairup",
-	Doc:  "acquire/release pairing for breaker slots, pools, and spans (resource-leak anomaly)",
+	Doc:  "acquire/release pairing for pools and spans (resource-leak anomaly)",
 	Run:  runPairup,
 }
 
@@ -33,13 +30,9 @@ var PairupAnalyzer = &Analyzer{
 type pairShape int
 
 const (
-	// shapeReceiver: the resource is the acquire call's receiver; release
-	// is one of the named methods on the same receiver (Breaker.Acquire ->
-	// breaker.Release/Success/Fail).
-	shapeReceiver pairShape = iota
 	// shapeHandle: the resource is the acquire call's result; release is
 	// a method ON the handle (Tracer.Start -> span.End).
-	shapeHandle
+	shapeHandle pairShape = iota
 	// shapeHandleArg: the resource is the acquire call's result; release
 	// is a method on the ACQUIRING receiver taking the handle as an
 	// argument (Pool.Get -> pool.Put(buf)).
@@ -48,9 +41,8 @@ const (
 
 // pairSpec is one configured acquire/release pair. Matching is by
 // receiver type name plus optional package-path suffix: the golden
-// fixtures declare local stand-in types (Breaker, Pool, ...) with the
-// same shapes, so the fixture suite stays frozen while the real types
-// evolve.
+// fixtures declare local stand-in types (Pool, Span, ...) with the same
+// shapes, so the fixture suite stays frozen while the real types evolve.
 type pairSpec struct {
 	pkgSuffix string // "" = any package; otherwise package path suffix
 	typeName  string
@@ -62,13 +54,6 @@ type pairSpec struct {
 }
 
 var pairSpecs = []*pairSpec{
-	{
-		typeName: "Breaker", acquire: "Acquire",
-		releases: []string{"Release", "Success", "Fail"},
-		shape:    shapeReceiver,
-		what:     "breaker probe slot",
-		hint:     "resolve the slot with Success, Fail, or Release on every path, or hand the backend to a resolver",
-	},
 	{
 		pkgSuffix: "sync", typeName: "Pool", acquire: "Get",
 		releases: []string{"Put"},
@@ -131,8 +116,8 @@ func hasPathSuffix(path, suffix string) bool {
 // resource is one tracked acquisition within a function.
 type resource struct {
 	spec    *pairSpec
-	recvKey string // printed receiver expression (shapes receiver/handleArg)
-	handle  string // result variable name (shapes handle/handleArg); "" = none
+	recvKey string // printed receiver expression (shape handleArg)
+	handle  string // result variable name
 	pos     token.Pos
 }
 
@@ -203,7 +188,7 @@ func (w *pairupWalker) stmts(list []ast.Stmt, st pairState) pairState {
 	for i := 0; i < len(list); i++ {
 		s := list[i]
 		// Peephole for the two-statement conditional acquire:
-		//   ok := b.Acquire()            (or buf, ok := pool.Get().(*T))
+		//   buf, ok := pool.Get().(*T)
 		//   if !ok { failure path }      // or: if ok { owner path }
 		// The resource is only owed a release on the side where the bool
 		// came back true.
@@ -225,25 +210,13 @@ func (w *pairupWalker) stmts(list []ast.Stmt, st pairState) pairState {
 }
 
 // acquireWithOK matches an acquire assignment that also binds a success
-// bool: the last LHS for multi-value handle acquires (buf, ok := ...),
-// the single LHS for receiver-shape acquires (ok := b.Acquire()).
+// bool as its last LHS (buf, ok := ...).
 func (w *pairupWalker) acquireWithOK(as *ast.AssignStmt) (*resource, string) {
 	r := w.acquireFromAssign(as)
-	if r == nil {
+	if r == nil || len(as.Lhs) != 2 {
 		return nil, ""
 	}
-	var boolExpr ast.Expr
-	switch r.spec.shape {
-	case shapeReceiver:
-		if len(as.Lhs) == 1 {
-			boolExpr = as.Lhs[0]
-		}
-	default:
-		if len(as.Lhs) == 2 {
-			boolExpr = as.Lhs[1]
-		}
-	}
-	if id, ok := boolExpr.(*ast.Ident); ok && id.Name != "_" {
+	if id, ok := as.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
 		return r, id.Name
 	}
 	return r, ""
@@ -305,23 +278,9 @@ func (w *pairupWalker) stmt(s ast.Stmt, st pairState) pairState {
 	// Releases and escapes anywhere in the statement (including inside
 	// deferred and spawned closures) resolve before control-flow handling:
 	// a return statement may itself release (rare) or escape (common).
+	// A dropped handle (an acquire as an expression statement) cannot be
+	// tracked; nil-safe spans make it legal.
 	switch stmt := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := stmt.X.(*ast.CallExpr); ok {
-			if spec, recv := matchSpec(w.info, call); spec != nil {
-				w.applyUses(s, st)
-				if spec.shape == shapeReceiver {
-					r := &resource{spec: spec, recvKey: types.ExprString(recv), pos: call.Pos()}
-					st = st.clone()
-					st[r] = resState{}
-				}
-				// A dropped handle (shapeHandle/shapeHandleArg result ignored)
-				// cannot be tracked; nil-safe spans make this legal.
-				return st
-			}
-		}
-		w.applyUses(s, st)
-		return st
 	case *ast.AssignStmt:
 		if r := w.acquireFromAssign(stmt); r != nil {
 			w.applyUses(s, st)
@@ -402,44 +361,6 @@ func (w *pairupWalker) ifStmt(stmt *ast.IfStmt, st pairState) pairState {
 		st = w.stmt(stmt.Init, st)
 	}
 
-	// `if !x.Acquire() { bail }`: acquired after the if (and in the else
-	// branch); not acquired inside the failure body. Short-circuit makes
-	// this exact even under `a || !x.Acquire()`: reaching the code after
-	// the if with the cond false means the acquire ran and succeeded.
-	if spec, recv := w.negatedAcquire(stmt.Cond); spec != nil {
-		failOut := w.stmts(stmt.Body.List, st.clone())
-		r := &resource{spec: spec, recvKey: types.ExprString(recv), pos: stmt.Cond.Pos()}
-		afterState := st.clone()
-		afterState[r] = resState{}
-		if stmt.Else != nil {
-			elseOut := w.stmt(stmt.Else, afterState.clone())
-			if !lastTerminates(w.info, stmt.Body.List) {
-				elseOut.merge(failOut)
-			}
-			return elseOut
-		}
-		if !lastTerminates(w.info, stmt.Body.List) {
-			afterState.merge(failOut)
-		}
-		return afterState
-	}
-
-	// `if x.Acquire() { ... }`: acquired inside the then-branch only.
-	if spec, recv := w.positiveAcquire(stmt.Cond); spec != nil {
-		thenState := st.clone()
-		r := &resource{spec: spec, recvKey: types.ExprString(recv), pos: stmt.Cond.Pos()}
-		thenState[r] = resState{}
-		out := st.clone()
-		thenOut := w.stmts(stmt.Body.List, thenState)
-		if !lastTerminates(w.info, stmt.Body.List) {
-			out.merge(thenOut)
-		}
-		if stmt.Else != nil {
-			out.merge(w.stmt(stmt.Else, st.clone()))
-		}
-		return out
-	}
-
 	w.applyUsesExpr(stmt.Cond, st)
 	out := pairState{}
 	thenOut := w.stmts(stmt.Body.List, st.clone())
@@ -465,54 +386,8 @@ func (w *pairupWalker) ifStmt(stmt *ast.IfStmt, st pairState) pairState {
 	return out
 }
 
-// negatedAcquire finds a `!x.Acquire()` operand in cond (possibly under
-// `||` chains).
-func (w *pairupWalker) negatedAcquire(cond ast.Expr) (*pairSpec, ast.Expr) {
-	switch e := cond.(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			if call, ok := e.X.(*ast.CallExpr); ok {
-				if spec, recv := matchSpec(w.info, call); spec != nil && spec.shape == shapeReceiver {
-					return spec, recv
-				}
-			}
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.LOR {
-			if spec, recv := w.negatedAcquire(e.X); spec != nil {
-				return spec, recv
-			}
-			return w.negatedAcquire(e.Y)
-		}
-	case *ast.ParenExpr:
-		return w.negatedAcquire(e.X)
-	}
-	return nil, nil
-}
-
-// positiveAcquire matches a cond that is exactly (or leads a `&&` chain
-// with) an acquire call.
-func (w *pairupWalker) positiveAcquire(cond ast.Expr) (*pairSpec, ast.Expr) {
-	switch e := cond.(type) {
-	case *ast.CallExpr:
-		if spec, recv := matchSpec(w.info, e); spec != nil && spec.shape == shapeReceiver {
-			return spec, recv
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.LAND {
-			return w.positiveAcquire(e.X)
-		}
-	case *ast.ParenExpr:
-		return w.positiveAcquire(e.X)
-	}
-	return nil, nil
-}
-
 // acquireFromAssign matches handle-producing acquires:
-// `sp := root.StartChild(..)`, `buf := pool.Get().(*T)`, and
-// receiver-shape acquires whose bool is stored (`ok := b.Acquire()` —
-// tracked unconditionally, the common conditional forms go through
-// ifStmt instead).
+// `sp := root.StartChild(..)` and `buf := pool.Get().(*T)`.
 func (w *pairupWalker) acquireFromAssign(as *ast.AssignStmt) *resource {
 	if len(as.Rhs) != 1 {
 		return nil
@@ -526,23 +401,14 @@ func (w *pairupWalker) acquireFromAssign(as *ast.AssignStmt) *resource {
 		return nil
 	}
 	spec, recv := matchSpec(w.info, call)
-	if spec == nil {
+	if spec == nil || len(as.Lhs) == 0 {
 		return nil
 	}
-	switch spec.shape {
-	case shapeReceiver:
-		return &resource{spec: spec, recvKey: types.ExprString(recv), pos: call.Pos()}
-	case shapeHandle, shapeHandleArg:
-		if len(as.Lhs) == 0 {
-			return nil
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return nil
-		}
-		return &resource{spec: spec, recvKey: types.ExprString(recv), handle: id.Name, pos: call.Pos()}
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
 	}
-	return nil
+	return &resource{spec: spec, recvKey: types.ExprString(recv), handle: id.Name, pos: call.Pos()}
 }
 
 // applyUses scans a whole statement (closures included) for releases and
@@ -577,13 +443,6 @@ func (w *pairupWalker) applyNode(n ast.Node, st pairState) {
 					continue
 				}
 				switch r.spec.shape {
-				case shapeReceiver:
-					// Release rides the acquiring receiver: type and printed
-					// expression must both match.
-					if tname == r.spec.typeName && types.ExprString(recv) == r.recvKey {
-						rs.released = true
-						st[r] = rs
-					}
 				case shapeHandle:
 					// Release is a method on the handle itself (span.End);
 					// the handle's type differs from the acquirer's, so match
@@ -604,9 +463,8 @@ func (w *pairupWalker) applyNode(n ast.Node, st pairState) {
 				}
 			}
 		}
-		// Escape through arguments: a live resource (its handle, its
-		// receiver, or the receiver's base) passed to any call transfers
-		// ownership — the callee may resolve it (send() does).
+		// Escape through arguments: a live resource's handle passed to any
+		// call transfers ownership — the callee may release it.
 		for _, arg := range x.Args {
 			w.escapeIfUsed(arg, st)
 		}
@@ -644,13 +502,10 @@ func isRelease(spec *pairSpec, method string) bool {
 	return false
 }
 
-// escapeIfUsed marks any live resource whose identity appears in e as
-// escaped. Identity depends on the shape: handle-based resources (spans,
-// pooled buffers) are owned through the handle variable — the acquiring
+// escapeIfUsed marks any live resource whose handle appears in e as
+// escaped. A resource is owned through its handle variable: the acquiring
 // receiver is just the registry, and reading `p.limit` must not end
-// tracking of `buf`. Receiver-shape resources (breaker slots) are owned
-// through the receiver expression or its base identifier (passing `b`
-// forwards `b.breaker` to a resolver).
+// tracking of `buf`.
 func (w *pairupWalker) escapeIfUsed(e ast.Expr, st pairState) {
 	if e == nil {
 		return
@@ -661,33 +516,13 @@ func (w *pairupWalker) escapeIfUsed(e ast.Expr, st pairState) {
 			return true
 		}
 		for r, rs := range st {
-			if rs.escaped {
-				continue
-			}
-			escaped := false
-			if r.spec.shape == shapeReceiver {
-				escaped = r.recvKey != "" && (id.Name == r.recvKey || id.Name == baseIdent0(r.recvKey))
-			} else {
-				escaped = r.handle != "" && id.Name == r.handle
-			}
-			if escaped {
+			if !rs.escaped && id.Name == r.handle {
 				rs.escaped = true
 				st[r] = rs
 			}
 		}
 		return true
 	})
-}
-
-// baseIdent0 returns the first dotted component of a printed receiver
-// expression ("b.breaker" -> "b").
-func baseIdent0(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '.' || key[i] == '[' {
-			return key[:i]
-		}
-	}
-	return key
 }
 
 // reportLive reports every resource still unreleased and unescaped at an

@@ -1,66 +1,10 @@
-// Package fixtures reproduces this repository's real resource-leak bug
-// history for the pairup analyzer. The types are local stand-ins — pairup
-// matches pairs by type and method name, never by package path — so the
-// gateway's breaker probe-slot leak stays pinned here in its pre-fix
-// shape.
+// Package fixtures pins the pairup analyzer's acquire/release shapes:
+// pooled buffers (Get/Put) and spans (Start|StartChild/End). The types are
+// local stand-ins — pairup matches pairs by type and method name, never by
+// package path — so the fixtures stay frozen while the real types evolve.
 package fixtures
 
 import "errors"
-
-// Breaker stands in for the gateway circuit breaker: every Acquire must
-// be resolved by Success, Fail, or Release.
-type Breaker struct{ open bool }
-
-func (b *Breaker) Acquire() bool { return !b.open }
-func (b *Breaker) Release()      {}
-func (b *Breaker) Success()      {}
-func (b *Breaker) Fail()         {}
-
-type backend struct {
-	name    string
-	breaker *Breaker
-}
-
-// probeSlotLeak is the pre-fix PR-5 breaker bug: the failure path returns
-// without resolving the acquired probe slot, so a half-open breaker stays
-// half-open forever and the backend is never probed again.
-func probeSlotLeak(b *backend, fail bool) error {
-	if !b.breaker.Acquire() {
-		return errors.New("probe lost")
-	}
-	if fail {
-		return errors.New("upstream down") // want `breaker probe slot acquired at line \d+ is not released on this path`
-	}
-	b.breaker.Success()
-	return nil
-}
-
-// probeSlotResolved is the post-fix shape: every path judges the probe.
-func probeSlotResolved(b *backend, fail bool) error {
-	if !b.breaker.Acquire() {
-		return errors.New("probe lost")
-	}
-	if fail {
-		b.breaker.Fail()
-		return errors.New("upstream down")
-	}
-	b.breaker.Success()
-	return nil
-}
-
-// probeSlotHandedOff transfers ownership: the backend goes to a resolver,
-// exactly like the real attemptOne handing its backend to send().
-func probeSlotHandedOff(b *backend) error {
-	if !b.breaker.Acquire() {
-		return errors.New("probe lost")
-	}
-	return resolve(b)
-}
-
-func resolve(b *backend) error {
-	b.breaker.Success()
-	return nil
-}
 
 // Pool stands in for the sync.Pool Get/Put pairing around pooled buffers.
 type Pool struct{ free []*buffer }

@@ -94,7 +94,7 @@ func isContextType(t types.Type) bool {
 }
 
 // baseIdent returns the leftmost identifier of a selector chain
-// (b.breaker -> b; buf -> buf), or "" when the expression is not rooted
+// (g.mu -> g; buf -> buf), or "" when the expression is not rooted
 // in an identifier.
 func baseIdent(e ast.Expr) string {
 	for {

@@ -49,13 +49,19 @@ func (d Digest) String() string { return fmt.Sprintf("%x", d[:8]) }
 func (d Digest) Key() string { return string(d[:]) }
 
 // Entry is one cached artifact. SizeBytes is the artifact's approximate
-// resident footprint; the cache charges it against the byte budget at
-// admission, so costs are counted in memory actually held, not entry
+// resident footprint; the cache charges it, plus its own bookkeeping for
+// the entry (entryOverhead and the key's bytes), against the byte budget
+// at admission, so costs are counted in memory actually held, not entry
 // counts. Estimates only steer eviction — they need to be proportional,
 // not exact.
 type Entry interface {
 	SizeBytes() int64
 }
+
+// entryOverhead is what the cache itself holds per entry besides the key's
+// bytes and the value: the entryNode (a 64-byte allocation) and its slot
+// in the items map.
+const entryOverhead = 96
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -196,15 +202,13 @@ func (c *Cache) Put(key string, val Entry) {
 	c.mu.Unlock()
 }
 
-// put admits val under the byte budget. Caller holds c.mu. An entry
-// larger than the whole budget is not admitted at all — callers still
-// get the value they built, it just is not retained — so one huge
-// program cannot wipe the working set of everyone else.
+// put admits val under the byte budget, charged its SizeBytes plus the
+// entry's bookkeeping. Caller holds c.mu. An entry larger than the whole
+// budget is not admitted at all — callers still get the value they built,
+// it just is not retained — so one huge program cannot wipe the working
+// set of everyone else.
 func (c *Cache) put(key string, val Entry) {
-	size := val.SizeBytes()
-	if size < 1 {
-		size = 1
-	}
+	size := max(val.SizeBytes(), 0) + entryOverhead + int64(len(key))
 	if n, ok := c.items[key]; ok {
 		c.bytes += size - n.size
 		n.val, n.size = val, size

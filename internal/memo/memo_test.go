@@ -19,6 +19,10 @@ type fakeEntry struct {
 
 func (f *fakeEntry) SizeBytes() int64 { return f.size }
 
+// charge is what the cache charges against its budget for an entry of
+// the given footprint under key.
+func charge(key string, size int64) int64 { return size + entryOverhead + int64(len(key)) }
+
 func TestSourceDigestStable(t *testing.T) {
 	a, b := SourceDigest("task t is begin end"), SourceDigest("task t is begin end")
 	if a != b {
@@ -52,12 +56,13 @@ func TestNilCacheNeverHits(t *testing.T) {
 }
 
 func TestByteBudgetEviction(t *testing.T) {
-	c := New(100)
+	budget := 2*charge("k0", 40) + 20 // two entries fit, a third does not
+	c := New(budget)
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &fakeEntry{i, 40}) // 4*40 = 160 > 100
+		c.Put(fmt.Sprintf("k%d", i), &fakeEntry{i, 40})
 	}
 	st := c.Stats()
-	if st.Bytes > 100 {
+	if st.Bytes > budget {
 		t.Fatalf("bytes %d exceed budget", st.Bytes)
 	}
 	if st.Entries != 2 || st.Evictions != 2 {
@@ -84,7 +89,7 @@ func TestByteBudgetEviction(t *testing.T) {
 }
 
 func TestOversizedEntryNotAdmitted(t *testing.T) {
-	c := New(64)
+	c := New(charge("small", 10) + 64)
 	c.Put("small", &fakeEntry{0, 10})
 	v, built, err := c.Do(ctx, "huge", func() (Entry, error) { return &fakeEntry{1, 1000}, nil })
 	if err != nil || !built || v.(*fakeEntry).id != 1 {
@@ -98,13 +103,40 @@ func TestOversizedEntryNotAdmitted(t *testing.T) {
 	}
 }
 
+// TestChargeIncludesBookkeeping: each entry is charged its SizeBytes plus
+// the cache's own bookkeeping for it (entryOverhead and the key's bytes),
+// so Stats().Bytes is the sum of the charges and a budget of exactly k
+// charges admits k entries and evicts on the next.
+func TestChargeIncludesBookkeeping(t *testing.T) {
+	const k = 3
+	keys := []string{"src:a", "an:bb", "rp:ccc", "vd:dd"} // the last as long as the first
+	var sum int64
+	for _, key := range keys[:k] {
+		sum += charge(key, 100)
+	}
+	c := New(sum)
+	for i, key := range keys[:k] {
+		c.Put(key, &fakeEntry{i, 100})
+	}
+	if st := c.Stats(); st.Bytes != sum || st.Entries != k || st.Evictions != 0 {
+		t.Fatalf("after %d puts: %+v, want bytes=%d entries=%d evictions=0", k, st, sum, k)
+	}
+	c.Put(keys[k], &fakeEntry{k, 100})
+	if st := c.Stats(); st.Evictions != 1 || st.Bytes != sum-charge(keys[0], 100)+charge(keys[k], 100) {
+		t.Fatalf("after one more put: %+v, want one eviction of %q", st, keys[0])
+	}
+	if _, ok := c.Get(keys[0]); ok {
+		t.Fatalf("least recently used %q survived", keys[0])
+	}
+}
+
 func TestPutRefreshAdjustsBytes(t *testing.T) {
-	c := New(100)
+	c := New(charge("k", 100))
 	c.Put("k", &fakeEntry{0, 30})
 	c.Put("k", &fakeEntry{1, 70})
 	st := c.Stats()
-	if st.Bytes != 70 || st.Entries != 1 {
-		t.Fatalf("bytes=%d entries=%d after refresh, want 70/1", st.Bytes, st.Entries)
+	if st.Bytes != charge("k", 70) || st.Entries != 1 {
+		t.Fatalf("bytes=%d entries=%d after refresh, want %d/1", st.Bytes, st.Entries, charge("k", 70))
 	}
 	if v, _ := c.Get("k"); v.(*fakeEntry).id != 1 {
 		t.Fatal("refresh kept the old value")
@@ -203,7 +235,8 @@ func TestDoPanicReleasesFollowers(t *testing.T) {
 func TestConcurrentChurnUnderTinyBudget(t *testing.T) {
 	// Eviction pressure with concurrent readers: entries handed out stay
 	// valid (immutable) even when the cache dropped them. Run with -race.
-	c := New(256)
+	budget := 4 * charge("k15", 48)
+	c := New(budget)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -223,7 +256,7 @@ func TestConcurrentChurnUnderTinyBudget(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Bytes > 256 {
+	if st := c.Stats(); st.Bytes > budget {
 		t.Fatalf("budget violated: %+v", st)
 	}
 }

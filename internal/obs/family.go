@@ -37,7 +37,7 @@ func (f Family) Write(w io.Writer, v any, values ...string) {
 
 // Sample writes one sample, labelled by values in the order of the
 // family's keys. v is formatted with %v, so it must be a plain number:
-// convert a named type with a String method (a breaker state) first.
+// convert a named type with a String method first.
 func (f Family) Sample(w io.Writer, v any, values ...string) {
 	fmt.Fprintf(w, "%s%s %v\n", f.Name, f.labels(values, ""), v)
 }

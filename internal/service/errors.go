@@ -42,8 +42,8 @@ const (
 	// contained and the server keeps serving. HTTP 500.
 	CodeInternal
 	// CodeUnavailable: the analysis could not be attempted because the
-	// backend that owns it is unreachable (dead replica, open circuit
-	// breaker, no healthy backend). Emitted by the cluster gateway, never
+	// backend that owns it is unreachable (dead replica, a backend taken
+	// out of routing, no healthy backend). Emitted by the cluster gateway, never
 	// by a replica itself; listed here so the taxonomy stays in one place.
 	// HTTP 503 with Retry-After.
 	CodeUnavailable

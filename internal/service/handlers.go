@@ -183,11 +183,9 @@ type reportEntry struct {
 	verdict string
 }
 
-// SizeBytes charges the report, the verdict, the "rp:" key and a fixed
-// overhead for the entry's bookkeeping.
-func (e *reportEntry) SizeBytes() int64 {
-	return int64(len(e.report)+len(e.verdict)+len("rp:")+len(CacheKey{})) + 128
-}
+// SizeBytes charges the report and the verdict; the cache adds the key
+// and its own bookkeeping.
+func (e *reportEntry) SizeBytes() int64 { return int64(len(e.report) + len(e.verdict)) }
 
 // analyzeOne serves one (source, options) pair: a report lookup in the
 // replica's cache, then a pool-bounded siwa.AnalyzeSourceContext run

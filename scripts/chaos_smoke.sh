@@ -5,7 +5,8 @@
 # injection, and assert a client request under a deadline still completes
 # fast — i.e. hedged requests route around a slow wire over real HTTP,
 # not just in in-process tests — with the hedge visible in the gateway's
-# own /metrics.
+# own /metrics, and with neither replica taken out of routing: a hedge's
+# cancelled loser is not a transport failure.
 #
 # Usage: scripts/chaos_smoke.sh [base-port]   (default 18200)
 set -euo pipefail
@@ -58,11 +59,12 @@ PIDS+=($!)
 wait_ready "$GW"
 
 echo "== analyzes through the gateway under a 2s deadline budget"
-# Health probes bypass the faulted client transport, so replica 1 stays
-# eligible and roughly half of these digests route their primary attempt
-# into the browned wire — each of those must be rescued by a hedge. A
-# cold backend hedges after the 100ms fallback delay, so every request
-# must finish far under the 800ms brownout.
+# Health probes go through the same faulted transport, but each 800ms
+# stall stays under the 1s probe timeout, so replica 1 stays eligible and
+# roughly half of these digests route their primary attempt into the
+# browned wire — each of those must be rescued by a hedge. A cold backend
+# hedges after the 100ms fallback delay, so every request must finish far
+# under the 800ms brownout.
 WORST=0
 for i in $(seq 2 13); do
 	SRC="task t$i is begin u$i.m; accept m; end; task u$i is begin t$i.m; accept m; end;"
@@ -97,5 +99,18 @@ if ! grep -q 'siwa_gateway_retry_budget_tokens{scope="global"}' <<<"$METRICS"; t
 	echo "FAIL: retry budget gauge missing from /metrics" >&2
 	exit 1
 fi
+
+echo "== both replicas still take traffic, with no transport failure counted"
+# Every hedge cancels its loser; a cancelled send says nothing about the
+# replica, so it must neither count as a failure nor take one out.
+for R in "$R1" "$R2"; do
+	LABEL="{backend=\"http://127.0.0.1:$R\"}"
+	UP=$(awk -v k="siwa_gateway_backend_up$LABEL" '$1 == k {print $2}' <<<"$METRICS")
+	FAILS=$(awk -v k="siwa_gateway_backend_failures_total$LABEL" '$1 == k {print $2}' <<<"$METRICS")
+	if [ "$UP" != 1 ] || [ "$FAILS" != 0 ]; then
+		echo "FAIL: replica on port $R: backend_up=$UP failures_total=$FAILS, want 1 and 0" >&2
+		exit 1
+	fi
+done
 
 echo "PASS: $HEDGES hedges ($WINS wins) kept the worst request at ${WORST}ms under an 800ms brownout"
